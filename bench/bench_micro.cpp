@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the parallel primitives the
 // connectivity pipeline is built from: scan, pack, radix sort, random
-// permutation, hash-set dedup, BFS, and single decomposition calls.
+// permutation, the decomposition's center schedule, hash-set dedup, BFS,
+// and single decomposition calls.
 //
 // Besides the normal console output, the run is summarized as
 // results/BENCH_micro.json (median + min of the per-repetition real times;
@@ -14,6 +15,7 @@
 #include <map>
 
 #include "bench_common.hpp"
+#include "core/ldd_internal.hpp"
 #include "parallel/emit.hpp"
 #include "pcc.hpp"
 
@@ -68,6 +70,43 @@ void BM_RandomPermutation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_RandomPermutation)->Arg(1 << 14)->Arg(1 << 18);
+
+// One decomposition level's center schedule in permutation-chunk mode:
+// build the schedule, then offer round after round of candidates through
+// add_new_centers until `prefix` positions have been evaluated. A short
+// prefix is the common case (the BFS covers the graph after a few
+// chunks); prefix == n is the worst case, when every position is offered
+// (graphs with very many components).
+void BM_ShiftSchedulePrefix(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t prefix = static_cast<size_t>(state.range(1));
+  ldd::options opt;
+  std::vector<uint8_t> visited(n);
+  std::vector<vertex_id> frontier(n);
+  parallel::workspace ws;
+  for (auto _ : state) {
+    ++opt.seed;
+    const ldd::internal::shift_schedule sched(n, opt);
+    size_t offered = 0;
+    size_t added = 0;
+    for (size_t round = 0; offered < prefix; ++round) {
+      added += ldd::internal::add_new_centers(
+          sched, round, frontier, added, ws,
+          [&](vertex_id v) { return visited[v] == 0; },
+          [&](vertex_id) {});
+      offered = sched.batch(round).second;
+    }
+    benchmark::DoNotOptimize(frontier.data());
+    benchmark::DoNotOptimize(added);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * prefix));
+}
+BENCHMARK(BM_ShiftSchedulePrefix)
+    ->Args({1 << 18, 4096})
+    ->Args({1 << 18, 1 << 18})
+    ->Args({1 << 22, 4096})
+    ->Args({1 << 22, 1 << 22});
 
 // --- the contraction's dedup routes, apples to apples --------------------
 // Matched inputs for core/contract.cpp's two duplicate-removal routes:

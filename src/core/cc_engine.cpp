@@ -79,7 +79,9 @@ void cc_engine::reserve(size_t n, size_t m) {
   // Heuristics for the level-0-dominated footprints; the arenas self-size
   // to the true high-water mark after the first run either way.
   persist_.reserve(sizeof(vertex_id) * 4 * n);
-  graph_[0].reserve(sizeof(vertex_id) * (m + n));
+  // graph_[0] holds exactly the level-0 edge copy and degrees, two takes
+  // that are each padded to a cache line.
+  graph_[0].reserve(sizeof(vertex_id) * (m + n) + 2 * kCacheLineBytes);
   graph_[1].reserve(sizeof(vertex_id) * (m + n));
   scratch_.reserve(sizeof(vertex_id) * 16 * n + 8 * m);
   // Level count varies run to run (the decomposition's benign races make
@@ -100,11 +102,17 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
   const size_t m0 = g.num_edges();
 
   // The previous run's labels die here; this is also where a first-run
-  // multi-chunk arena consolidates to its high-water mark.
-  persist_.reset();
-  scratch_.reset();
-  graph_[0].reset();
-  graph_[1].reset();
+  // multi-chunk arena consolidates to its high-water mark. At >1 worker the
+  // decomposition's CAS races make the kept-edge count, and with it the
+  // contraction's buffers, differ from run to run (the scratch high-water
+  // mark spread ~1.5% over repeated oversubscribed runs on the test
+  // corpus); 1/8 headroom keeps the consolidated arena from chaining again
+  // on the next run. Arenas that reserve() sized large enough never chain,
+  // so they get no headroom.
+  for (parallel::workspace* ws :
+       {&persist_, &scratch_, &graph_[0], &graph_[1]}) {
+    ws->reset(ws->high_water() / 8);
+  }
   frames_.clear();
   // No-op after the first run; see the note in reserve() on why frames_
   // is sized by the cap rather than by observed depth.

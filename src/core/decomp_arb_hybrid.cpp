@@ -48,7 +48,7 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
 
   timer t;
   parallel::workspace::scope outer(ws);
-  internal::shift_schedule schedule(n, opt, ws);
+  internal::shift_schedule schedule(n, opt);
   std::span<vertex_id> frontier = ws.take<vertex_id>(n);
   std::span<vertex_id> next = ws.take<vertex_id>(n);
   size_t frontier_size = 0;

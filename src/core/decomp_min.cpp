@@ -52,7 +52,7 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
 
   timer t;
   parallel::workspace::scope outer(ws);
-  internal::shift_schedule schedule(n, opt, ws);
+  internal::shift_schedule schedule(n, opt);
   // delta'_v: the simulated fractional part of v's shift, used only when v
   // becomes a BFS center. Drawn from [1, 2^31) — 0 is the visited mark.
   const parallel::rng frac_gen = parallel::rng(opt.seed).split(11);

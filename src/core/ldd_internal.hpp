@@ -30,24 +30,19 @@ inline constexpr bool is_marked(vertex_id e) { return (e & kEdgeMark) != 0; }
 // unvisited actually start one).
 //
 // kPermutationChunks simulates the exponential shifts as the paper
-// describes: a random permutation is generated in parallel and round t
-// takes the prefix of size ceil(e^{beta*t}) (so chunk sizes grow
-// exponentially); round 0 always starts exactly one BFS.
+// describes: round t takes the prefix of size ceil(e^{beta*t}) of a random
+// permutation (so chunk sizes grow exponentially); round 0 always starts
+// exactly one BFS. The permutation is a random_bijection evaluated on
+// demand, so a level pays only for the prefix its BFS consumes — usually
+// a tiny fraction of n — and the schedule holds no O(n) state.
 //
 // kExponentialShifts draws delta_v ~ Exp(beta) exactly, buckets vertices by
 // floor(delta_v) with one integer sort, and serves bucket t at round t.
 class shift_schedule {
  public:
-  // The order array (and, in permutation mode, the sort scratch) comes from
-  // `ws`; it must stay live for the schedule's lifetime, so the caller's
-  // rewind scope has to enclose the schedule.
-  shift_schedule(size_t n, const options& opt, parallel::workspace& ws)
-      : n_(n) {
-    order_ = ws.take<vertex_id>(n);
-    if (opt.shifts == shift_mode::kPermutationChunks) {
-      parallel::random_permutation_into(n, opt.seed, order_, ws);
-      beta_ = opt.beta;
-    } else {
+  shift_schedule(size_t n, const options& opt)
+      : n_(n), perm_(n, opt.seed), beta_(opt.beta) {
+    if (opt.shifts == shift_mode::kExponentialShifts) {
       // Exact shifts: delta_v ~ Exp(beta); the BFS of v starts at time
       // delta_max - delta_v (the largest shift starts first — this reversal
       // is what makes the number of active BFS's grow exponentially, which
@@ -72,6 +67,7 @@ class shift_schedule {
           keyed, parallel::bits_needed(static_cast<uint64_t>(max_floor) + 1),
           [](const auto& p) { return p.first; });
       bucket_end_.assign(static_cast<size_t>(max_floor) + 2, 0);
+      order_.resize(n);
       parallel::parallel_for(0, n, [&](size_t i) {
         order_[i] = keyed[i].second;
       });
@@ -86,8 +82,8 @@ class shift_schedule {
     }
   }
 
-  // Vertices whose shift lies in [round, round+1), as a subrange of the
-  // internal order array. Returns {begin_index, end_index}.
+  // Vertices whose shift lies in [round, round+1), as a range of schedule
+  // positions. Returns {begin_index, end_index}.
   std::pair<size_t, size_t> batch(size_t round) const {
     if (bucket_end_.empty()) {
       // Permutation chunks: by the end of round t the first
@@ -102,10 +98,11 @@ class shift_schedule {
     return {begin, bucket_end_[t]};
   }
 
-  vertex_id vertex_at(size_t i) const { return order_[i]; }
-
-  // True when every vertex has been offered as a center candidate.
-  bool exhausted(size_t round) const { return batch(round).second >= n_; }
+  // The vertex at schedule position i. In permutation mode this evaluates
+  // the bijection, so callers should read each position once.
+  vertex_id vertex_at(size_t i) const {
+    return bucket_end_.empty() ? perm_(i) : order_[i];
+  }
 
  private:
   // Number of permutation entries offered by the START of `round`:
@@ -117,8 +114,9 @@ class shift_schedule {
   }
 
   size_t n_;
-  double beta_ = 0.0;
-  std::span<vertex_id> order_;      // workspace-backed, size n
+  parallel::random_bijection perm_;  // permutation mode
+  double beta_;
+  std::vector<vertex_id> order_;    // exponential mode: bucketed vertices
   std::vector<size_t> bucket_end_;  // non-empty iff exponential mode
 };
 
@@ -140,22 +138,25 @@ size_t add_new_centers(const shift_schedule& sched, size_t round,
   if (begin >= end) return 0;
   parallel::workspace::scope s(ws);
   // Two-pass pack keeps the frontier deterministic: flag, scan, scatter.
-  std::span<uint8_t> flags = ws.take<uint8_t>(end - begin);
-  std::span<size_t> pos = ws.take<size_t>(end - begin);
-  parallel::parallel_for(begin, end, [&](size_t i) {
-    const vertex_id v = sched.vertex_at(i);
-    // lint: private-write(iteration i owns slot i - begin)
-    flags[i - begin] = is_unvisited(v) ? 1 : 0;
+  // The first pass reads each candidate from the schedule once and keeps
+  // it for the scatter.
+  const size_t count = end - begin;
+  std::span<vertex_id> cand = ws.take<vertex_id>(count);
+  std::span<uint8_t> flags = ws.take<uint8_t>(count);
+  std::span<size_t> pos = ws.take<size_t>(count);
+  parallel::parallel_for(0, count, [&](size_t i) {
+    const vertex_id v = sched.vertex_at(begin + i);
+    cand[i] = v;
+    flags[i] = is_unvisited(v) ? 1 : 0;
   });
   const size_t added = parallel::scan_exclusive_span<size_t>(
-      flags.size(), [&](size_t i) { return static_cast<size_t>(flags[i]); },
-      pos, ws);
-  parallel::parallel_for(begin, end, [&](size_t i) {
-    if (flags[i - begin]) {
-      const vertex_id v = sched.vertex_at(i);
-      make_center(v);
+      count, [&](size_t i) { return static_cast<size_t>(flags[i]); }, pos,
+      ws);
+  parallel::parallel_for(0, count, [&](size_t i) {
+    if (flags[i]) {
+      make_center(cand[i]);
       // lint: private-write(pos is an exclusive scan, injective on flagged i)
-      frontier[frontier_size + pos[i - begin]] = v;
+      frontier[frontier_size + pos[i]] = cand[i];
     }
   });
   return added;

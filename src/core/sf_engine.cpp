@@ -97,7 +97,7 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
   });
   const bool serial = parallel::num_workers() <= 1;
 
-  ldd::internal::shift_schedule schedule(n, opt, ws);
+  ldd::internal::shift_schedule schedule(n, opt);
   std::span<vertex_id> frontier = ws.take<vertex_id>(n);
   std::span<vertex_id> next = ws.take<vertex_id>(n);
   // At most n claims happen across the whole decomposition (each vertex is

@@ -173,13 +173,14 @@ class workspace {
 
   // Rewind everything. If the workspace overflowed into extra chunks since
   // the last reset, coalesce them into one chunk sized to the high-water
-  // mark, so the next fill pattern of the same size is chain-free. Invalidates
-  // all outstanding spans.
-  void reset() {
+  // mark plus `headroom` bytes, so the next fill pattern of the same size
+  // (or up to `headroom` larger) is chain-free. Invalidates all outstanding
+  // spans.
+  void reset(size_t headroom = 0) {
     high_water_ = std::max(high_water_, used_total());
     if (chunks_.size() > 1) {
       chunks_.clear();
-      chunks_.emplace_back(high_water_);
+      chunks_.emplace_back(high_water_ + headroom);
     } else if (!chunks_.empty()) {
       chunks_.front().used = 0;
     }

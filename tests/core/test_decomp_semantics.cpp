@@ -12,8 +12,9 @@
 //
 // White-box note: the oracle reproduces the library's seed-derived shift
 // values and fractional tie-break integers (rng streams split(7)/split(11),
-// the permutation-chunk prefix ceil(e^{beta*t}), the exponential-mode
-// reversal delta_max - delta_v). If those derivations change, update here.
+// the permutation-chunk prefix ceil(e^{beta*t}) of random_bijection(n,
+// seed), the exponential-mode reversal delta_max - delta_v). If those
+// derivations change, update here.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,7 @@ namespace {
 std::vector<uint32_t> start_rounds(size_t n, const ldd::options& opt) {
   std::vector<uint32_t> start(n);
   if (opt.shifts == ldd::shift_mode::kPermutationChunks) {
-    const auto perm = parallel::random_permutation(n, opt.seed);
+    const parallel::random_bijection perm(n, opt.seed);
     // position -> round: prefix offered by end of round t is
     // min(n, ceil(e^{beta*t})).
     const auto prefix = [&](uint32_t t) {
@@ -45,7 +46,7 @@ std::vector<uint32_t> start_rounds(size_t n, const ldd::options& opt) {
       while (prefix(t) <= p) ++t;
       round_of_pos[p] = t;
     }
-    for (size_t p = 0; p < n; ++p) start[perm[p]] = round_of_pos[p];
+    for (size_t p = 0; p < n; ++p) start[perm(p)] = round_of_pos[p];
   } else {
     const parallel::rng gen = parallel::rng(opt.seed).split(7);
     std::vector<double> delta(n);
