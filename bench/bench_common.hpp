@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -22,14 +21,6 @@
 #include "pcc.hpp"
 
 namespace pcc::bench {
-
-inline const char* backend_name(parallel::backend b) {
-  return b == parallel::backend::kThreadPool ? "pool" : "openmp";
-}
-
-inline const char* current_backend_name() {
-  return backend_name(parallel::current_backend());
-}
 
 inline double scale_factor() {
   const char* s = std::getenv("PCC_SCALE");
@@ -112,9 +103,9 @@ inline double median_time(const std::function<void()>& fn,
 // ---------------------------------------------------------------------------
 // Machine-readable results: every harness can dump its measurements as JSON
 // (results/BENCH_<name>.json) so the perf trajectory is tracked across
-// commits. One record per (kernel, graph, threads, backend) tuple — each
-// row carries the worker count and scheduler backend it was measured
-// under, so one file can hold a whole thread sweep; the top-level
+// commits. One record per (kernel, graph, threads) tuple — each row
+// carries the worker count it was measured under (plus the fixed
+// scheduler tag), so one file can hold a whole thread sweep; the top-level
 // "threads" field is only the global worker count at write time (kept for
 // older consumers). PCC_BENCH_JSON overrides the output path;
 // PCC_BENCH_JSON=off suppresses the file.
@@ -129,12 +120,10 @@ struct bench_record {
   // then (it used to default to `kernel`, which made the field a lie for
   // every micro row).
   std::string algorithm;
-  // Worker count and scheduler backend the row was measured under.
-  // Defaulted from the global state at record creation so existing
-  // aggregate-initialized rows stay correct; thread-sweep harnesses set
-  // them explicitly per configuration.
+  // Worker count the row was measured under. Defaulted from the global
+  // state at record creation so existing aggregate-initialized rows stay
+  // correct; thread-sweep harnesses set it explicitly per configuration.
   int threads = parallel::num_workers();
-  std::string backend = current_backend_name();
   // Locality relabeling the input was under when measured (reorder_name
   // spelling; "none" unless the harness relabeled the graph).
   std::string reorder = "none";
@@ -191,14 +180,15 @@ inline void write_bench_json(const std::string& default_path,
       algorithm_field =
           "\"algorithm\": \"" + json_escape(r.algorithm) + "\", ";
     }
+    // "backend" is a fixed scheduler tag (OpenMP is the only scheduler);
+    // it stays so rows keep joining against committed baselines.
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"graph\": \"%s\", %s"
-                 "\"threads\": %d, \"backend\": \"%s\", "
+                 "\"threads\": %d, \"backend\": \"openmp\", "
                  "\"reorder\": \"%s\", "
                  "\"median_s\": %.9g, \"min_s\": %.9g, \"reps\": %d}%s\n",
                  json_escape(r.kernel).c_str(), json_escape(r.graph).c_str(),
                  algorithm_field.c_str(), r.threads,
-                 json_escape(r.backend).c_str(),
                  json_escape(r.reorder).c_str(),
                  r.stats.median_s, r.stats.min_s, r.stats.reps,
                  i + 1 < records.size() ? "," : "");
@@ -256,7 +246,7 @@ inline std::vector<cc_impl> table2_implementations() {
   };
 }
 
-// Run fn with the given worker count on the active backend.
+// Run fn with the given worker count.
 inline double timed_with_threads(int threads,
                                  const std::function<void()>& fn) {
   parallel::scoped_workers guard(threads);
@@ -307,21 +297,8 @@ inline std::vector<int> sweep_thread_counts() {
   return counts;
 }
 
-// Honour PCC_BACKEND=openmp|pool (selects the scheduler backend) and
-// PCC_THREADS (overrides the active backend's default worker count).
+// Honour PCC_THREADS (overrides the default worker count).
 inline void apply_thread_env() {
-  if (const char* b = std::getenv("PCC_BACKEND")) {
-    if (std::strcmp(b, "pool") == 0) {
-      parallel::set_backend(parallel::backend::kThreadPool);
-    } else if (std::strcmp(b, "openmp") == 0) {
-      parallel::set_backend(parallel::backend::kOpenMP);
-    } else {
-      std::fprintf(stderr,
-                   "bench: ignoring unknown PCC_BACKEND=\"%s\" "
-                   "(expected openmp or pool)\n",
-                   b);
-    }
-  }
   const char* s = std::getenv("PCC_THREADS");
   if (s != nullptr) {
     const int t = std::atoi(s);
@@ -333,9 +310,8 @@ inline void print_header(const std::string& title) {
   apply_thread_env();
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
-  std::printf("(PCC_SCALE=%.3g, trials=%d, threads=%d, backend=%s)\n",
-              scale_factor(), num_trials(), parallel::num_workers(),
-              current_backend_name());
+  std::printf("(PCC_SCALE=%.3g, trials=%d, threads=%d)\n", scale_factor(),
+              num_trials(), parallel::num_workers());
   std::printf("================================================================\n");
 }
 

@@ -8,8 +8,8 @@
 // Every row lands in results/BENCH_sf.json (PCC_BENCH_JSON overrides the
 // path, =off suppresses it) with threads / backend / git-sha provenance,
 // so the witness-overhead trajectory is tracked across commits next to
-// BENCH_micro. PCC_SCALE / PCC_TRIALS / PCC_THREADS / PCC_BACKEND mean
-// what they mean for every other harness.
+// BENCH_micro. PCC_SCALE / PCC_TRIALS / PCC_THREADS mean what they mean
+// for every other harness.
 
 #include <cstdio>
 #include <string>

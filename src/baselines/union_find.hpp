@@ -68,8 +68,10 @@ class concurrent_union_find {
     }
   }
 
-  // Find with path compression (safe concurrently: compression only ever
-  // re-points a node at an ancestor).
+  // Find with path compression. Safe against concurrent finds (compression
+  // only ever re-points a node at an ancestor), but NOT against concurrent
+  // links: if `root` is hung under another root mid-walk, the walk can pass
+  // it and point that other root back at `root`, closing a cycle.
   vertex_id find_compress(vertex_id x) {
     const vertex_id root = find(x);
     while (x != root) {
@@ -81,11 +83,12 @@ class concurrent_union_find {
   }
 
   // Concurrent union. Returns true iff this call performed the link that
-  // merged two distinct sets (its edge is a spanning-forest edge).
+  // merged two distinct sets (its edge is a spanning-forest edge). Uses the
+  // non-compressing find: other unite() calls link concurrently.
   bool unite(vertex_id x, vertex_id y) {
     while (true) {
-      vertex_id rx = find_compress(x);
-      vertex_id ry = find_compress(y);
+      vertex_id rx = find(x);
+      vertex_id ry = find(y);
       if (rx == ry) return false;
       if (rx > ry) std::swap(rx, ry);  // link larger root under smaller
       // ry is a root; try to hang it below rx.

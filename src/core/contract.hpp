@@ -103,7 +103,7 @@ contraction_view contract_into(const ldd::work_graph& wg,
 // within equal pairs, and the hash route folds gather ranks with an atomic
 // write_min and joins the winner back after the barrier. The route choice
 // itself is a pure function of (m, k), so the contracted CSR AND its
-// witness array are identical across worker counts and backends.
+// witness array are identical across worker counts.
 contraction_view contract_into(const ldd::work_graph& wg,
                                std::span<const uint64_t> witness,
                                std::span<const vertex_id> cluster, bool dedup,

@@ -7,9 +7,9 @@
 // frontier, then exits the scan early. The read direction is more
 // cache-friendly and needs no atomics, but it leaves edge statuses
 // undetermined, so a post-processing pass (filterEdges) resolves the edges
-// of every vertex that was never processed in a write-based round. Edges
-// relabeled on the fly during write-based rounds carry a sign-bit mark so
-// filterEdges does not touch them again.
+// of every vertex that was never processed in a write-based round. A
+// per-vertex `resolved` flag records which adjacencies a write-based round
+// already relabeled, so filterEdges leaves those untouched.
 //
 // Dense rounds iterate a *shrinking* unvisited list instead of rescanning
 // all n vertices every round, and test frontier membership against a
@@ -145,8 +145,8 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
       frontier_size = gathered;
       if (pt != nullptr) pt->add("bfsDense", t.lap());
     } else {
-      // Write-based (sparse) round: identical to Decomp-Arb, except kept
-      // edges carry the mark bit recording "already relabeled".
+      // Write-based (sparse) round: identical to Decomp-Arb, plus the
+      // resolved[v] flag recording "already relabeled".
       parallel::workspace::scope round_scope(ws);
       const parallel::frontier_result run =
           parallel::frontier_edge_for<vertex_id>(
@@ -172,7 +172,7 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
                     const vertex_id w_label = atomic_load(&cl[w]);
                     if (w_label != my_label) {
                       // lint: private-write(piece owns slots [jlo, jhi) of v)
-                      ed[start + k] = internal::mark_edge(w_label);
+                      ed[start + k] = w_label;
                       ++k;
                     }
                   }
@@ -207,7 +207,7 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
 
   // filterEdges: resolve the adjacency of every vertex that was never
   // processed write-based (it was visited in a dense round, or its round's
-  // write pass was skipped entirely), then clear the mark bits everywhere.
+  // write pass was skipped entirely).
   // Edge-balanced like the rounds themselves: an unresolved hub's scan is
   // split across chunks instead of serializing the pass.
   t.start();
@@ -219,12 +219,9 @@ decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
           const vertex_id v = static_cast<vertex_id>(vi);
           const edge_id start = V[v];
           if (resolved[v]) {
-            for (uint32_t i = jlo; i < jhi; ++i) {
-              // lint: private-write(piece owns slots [jlo, jhi) of v)
-              E[start + i] = internal::unmark_edge(E[start + i]);
-            }
-            // "Kept" the whole piece: fix_split_pieces then never moves
-            // slots of a resolved vertex and republishes D[v] unchanged.
+            // Already relabeled by a sparse round. "Kept" the whole piece:
+            // fix_split_pieces then never moves slots of a resolved vertex
+            // and republishes D[v] unchanged.
             return jhi - jlo;
           }
           const vertex_id my_label = C[v];

@@ -23,8 +23,8 @@
 // certification epilogue (direct hook over the ORIGINAL edges + single
 // shortcut, until quiescent) that makes every combination unconditionally
 // correct and makes the final labels the minimum vertex id of each
-// component — i.e. deterministic across schedules, backends and worker
-// counts. See ALGORITHMS.md ("The Liu–Tarjan lattice") for the argument.
+// component — i.e. deterministic across schedules and worker counts. See
+// ALGORITHMS.md ("The Liu–Tarjan lattice") for the argument.
 #pragma once
 
 #include <cstdint>

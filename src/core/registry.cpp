@@ -210,11 +210,8 @@ void run_auto(const graph::graph& g, const cc_options& opt, algo_workspace& ws,
   // workers beyond the physical cores provide none: the fig8 thread sweep
   // (results/BENCH_fig8_threads.json) shows oversubscribed decomp runs no
   // faster than the core-count point, only noisier. num_workers() can
-  // legitimately exceed the core count (scoped_workers sweeps, the pool's
-  // lazily-spawned cap), so feed the selector min(workers, cores). Before
-  // the worker-count plumbing fix the pool backend fed its full spawned
-  // size here regardless of scoped_workers — auto picks now honour the
-  // caller's cap.
+  // legitimately exceed the core count (scoped_workers sweeps), so feed
+  // the selector min(workers, cores); auto picks honour the caller's cap.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const int workers = parallel::num_workers();
   const char* pick =

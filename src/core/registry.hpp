@@ -69,7 +69,7 @@ struct algorithm {
   const char* name;
   const char* description;
   // Labels are each component's minimum vertex id — identical across
-  // schedules, backends and worker counts. decomp-* labels are
+  // schedules and worker counts. decomp-* labels are
   // schedule-independent representatives instead (PR 4's guarantee), but
   // not minima; either way reruns reproduce exactly.
   bool canonical_labels;

@@ -53,8 +53,8 @@ struct claim_rec {
 // function of the previous round's state — and the witness of the
 // adopting edge is just witness[slot]. The round-mode choice (frontier
 // size vs dense_threshold * n) is itself a pure function of deterministic
-// state, so the mixed schedule replays identically across runs, worker
-// counts and backends.
+// state, so the mixed schedule replays identically across runs and worker
+// counts.
 //
 // Sparse (write-based) claim resolution is two-phase per round:
 //   A (propose) — every frontier edge (fi, i) -> w with C[w] still
@@ -264,10 +264,8 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
                     w_label = cw;
                   }
                   if (w_label != my_label) {
-                    // Kept edges carry the mark bit: "already relabeled",
-                    // so the filter pass below leaves them alone.
                     // lint: private-write(piece owns slots [jlo, jhi) of v)
-                    wg.edges[start + k] = ldd::internal::mark_edge(w_label);
+                    wg.edges[start + k] = w_label;
                     // lint: private-write(same piece-subrange invariant)
                     witness[start + k] = identity_witness
                                              ? pack_witness(v, w)
@@ -318,9 +316,8 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
   }
 
   // Filter pass: resolve the adjacency (and witness slice) of every vertex
-  // never processed write-based, and clear the mark bits everywhere. The
-  // sf twin of decomp_arb_hybrid's filterEdges, moving witnesses alongside
-  // the kept edges.
+  // never processed write-based. The sf twin of decomp_arb_hybrid's
+  // filterEdges, moving witnesses alongside the kept edges.
   t.start();
   {
     parallel::workspace::scope filter_scope(ws);
@@ -330,13 +327,9 @@ ldd::decomp_info decomp_arb_sf_into(ldd::work_graph& wg,
           const vertex_id v = static_cast<vertex_id>(vi);
           const edge_id start = wg.offsets[v];
           if (resolved[v]) {
-            for (uint32_t i = jlo; i < jhi; ++i) {
-              // lint: private-write(piece owns slots [jlo, jhi) of v)
-              wg.edges[start + i] =
-                  ldd::internal::unmark_edge(wg.edges[start + i]);
-            }
-            // "Kept" the whole piece: fix_split_pieces then never moves
-            // slots of a resolved vertex and republishes D[v] unchanged.
+            // Already relabeled by a sparse round. "Kept" the whole piece:
+            // fix_split_pieces then never moves slots of a resolved vertex
+            // and republishes D[v] unchanged.
             return jhi - jlo;
           }
           const vertex_id my_label = C[v];

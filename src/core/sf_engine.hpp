@@ -16,10 +16,9 @@
 // claims with a two-phase protocol — propose the minimum (frontier index,
 // adjacency slot) rank per target with an atomic write_min, then let exactly
 // the rank winner claim — so the forest is a pure function of (graph,
-// options), identical across worker counts and scheduler backends. The
-// witness-preserving contraction dedup keeps the minimum-gather-rank
-// witness on both routes (see contract.hpp), preserving the property across
-// levels.
+// options), identical across worker counts. The witness-preserving
+// contraction dedup keeps the minimum-gather-rank witness on both routes
+// (see contract.hpp), preserving the property across levels.
 //
 // State lives in the same three-arena layout as cc_engine (persist_ /
 // scratch_ / graph_[2]); after a warm-up run, run() performs no heap

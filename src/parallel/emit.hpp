@@ -84,11 +84,10 @@ namespace detail {
 // entry and stitches the pieces back together at exit. A
 // set_num_workers() / scoped_workers change interleaving with an open
 // emission region would let the stitch-time worker view disagree with the
-// sizing. The pool backend structurally forbids this
-// (thread_pool::set_active_threads asserts no region is open); this
-// debug-only guard also catches an omp_set_num_threads sneaking in
-// through the OpenMP backend or from a visit body. Zero-size and
-// zero-cost in NDEBUG builds.
+// sizing. set_num_workers() asserts that no parallel region is open; this
+// debug-only guard also catches a raw omp_set_num_threads sneaking in from
+// a visit body or between entry and stitch. Zero-size and zero-cost in
+// NDEBUG builds.
 class stable_workers_guard {
  public:
 #ifndef NDEBUG

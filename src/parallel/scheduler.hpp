@@ -1,24 +1,20 @@
-// Thin scheduler abstraction with two interchangeable backends.
+// Thin scheduler layer over OpenMP.
 //
-// The paper's code uses Cilk Plus (cilk_for / cilk_spawn). This layer keeps
-// the algorithms scheduler-agnostic: they call pcc::parallel::parallel_for
-// and pcc::parallel::par_do, which dispatch at runtime to either
-//   - OpenMP (default), or
-//   - the library's own work-stealing thread pool (parallel/thread_pool.hpp),
-// selected with set_backend(). The whole test suite runs under both, so
-// swapping in a third scheduler (Cilk, TBB, ...) only means reimplementing
-// the two functions below.
+// The paper's code uses Cilk Plus (cilk_for / cilk_spawn). The algorithms
+// never touch the runtime directly: they call pcc::parallel::parallel_for
+// and pcc::parallel::par_do, so swapping in another fork-join scheduler
+// (Cilk, TBB, ...) only means reimplementing the functions below.
 #pragma once
 
 #include <omp.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <utility>
 
 #include "parallel/defs.hpp"
-#include "parallel/thread_pool.hpp"
 
 // ThreadSanitizer cannot see libgomp's fork/join barriers (libgomp ships
 // uninstrumented), so under TSan a plain `#pragma omp parallel for` yields
@@ -28,10 +24,9 @@
 // dispatch OpenMP regions through detail::tsan_omp_run below, which shares
 // no function locals with the region — the job is published via a
 // namespace-scope release/acquire atomic and blocks are handed out with an
-// atomic counter (the same shape as thread_pool::work_on), making every
-// cross-thread edge TSan-visible. Scheduling semantics match the normal
-// path (dynamic self-scheduling over blocks); only TSan builds pay the
-// extra atomics.
+// atomic counter, making every cross-thread edge TSan-visible. Scheduling
+// semantics match the normal path (dynamic self-scheduling over blocks);
+// only TSan builds pay the extra atomics.
 #if defined(__SANITIZE_THREAD__)
 #define PCC_TSAN_SCHEDULER 1
 #elif defined(__has_feature)
@@ -45,17 +40,13 @@
 
 namespace pcc::parallel {
 
-enum class backend {
-  kOpenMP,
-  kThreadPool,
-};
+// Provenance tag recorded in benchmark rows. OpenMP is the only scheduler;
+// the tag stays so rows keep joining against earlier baselines.
+enum class backend { kOpenMP };
+
+inline backend current_backend() { return backend::kOpenMP; }
 
 namespace detail {
-inline backend& backend_ref() {
-  static backend b = backend::kOpenMP;
-  return b;
-}
-
 #if PCC_TSAN_SCHEDULER
 struct tsan_omp_job {
   void (*invoke)(void*, size_t) = nullptr;
@@ -105,103 +96,45 @@ void tsan_omp_run(size_t num_blocks, Body& body) {
 #endif  // PCC_TSAN_SCHEDULER
 }  // namespace detail
 
-inline backend current_backend() { return detail::backend_ref(); }
-inline void set_backend(backend b) { detail::backend_ref() = b; }
-
-// RAII backend override (tests).
-class scoped_backend {
- public:
-  explicit scoped_backend(backend b) : saved_(current_backend()) {
-    set_backend(b);
-  }
-  ~scoped_backend() { set_backend(saved_); }
-  scoped_backend(const scoped_backend&) = delete;
-  scoped_backend& operator=(const scoped_backend&) = delete;
-
- private:
-  backend saved_;
-};
-
 // Number of worker threads parallel regions will use.
-inline int num_workers() {
-  if (current_backend() == backend::kThreadPool) {
-    return static_cast<int>(thread_pool::instance().num_threads());
-  }
-  return omp_get_max_threads();
-}
+inline int num_workers() { return omp_get_max_threads(); }
 
-// Identifier of the calling worker in [0, num_workers()). On the pool
-// backend this is the thread-local index stamped on each worker at startup
-// (0 = the submitting thread); on OpenMP it is the team-local thread id.
-inline int worker_id() {
-  if (current_backend() == backend::kThreadPool) {
-    return thread_pool::worker_index;
-  }
-  return omp_get_thread_num();
-}
+// Identifier of the calling worker in [0, num_workers()): the team-local
+// thread id.
+inline int worker_id() { return omp_get_thread_num(); }
 
-// Set the number of worker threads on the ACTIVE backend (global). On
-// OpenMP this is omp_set_num_threads; on the pool backend it bounds the
-// pool's active-thread cap (parking or lazily spawning workers as needed),
-// so num_workers(), worker_id(), emit.hpp's per-worker staging sizes and
-// speculative_for's granularity all read the same capped value. Must not
-// be called while a parallel region is open (the pool asserts this; see
-// emit.hpp for why the invariant matters).
+// Set the number of worker threads (global). num_workers(), worker_id(),
+// emit.hpp's per-worker staging sizes and speculative_for's granularity all
+// read this value, so it must not change while a parallel region is open
+// (see emit.hpp for why the invariant matters).
 inline void set_num_workers(int n) {
-  if (current_backend() == backend::kThreadPool) {
-    thread_pool::instance().set_active_threads(
-        static_cast<size_t>(std::max(1, n)));
-    return;
-  }
+  assert(!omp_in_parallel() && "set_num_workers inside a parallel region");
   omp_set_num_threads(std::max(1, n));
 }
 
 // RAII guard that sets the worker count and restores the previous value.
-// Both the save and the restore target the backend that was active at
-// construction, so a guard opened on the pool backend restores the pool's
-// cap (and leaves the OpenMP setting untouched) even if the current
-// backend changed in between.
 class scoped_workers {
  public:
-  explicit scoped_workers(int n)
-      : backend_(current_backend()), saved_(num_workers()) {
+  explicit scoped_workers(int n) : saved_(num_workers()) {
     set_num_workers(n);
   }
-  ~scoped_workers() {
-    const scoped_backend restore_on_saved_backend(backend_);
-    set_num_workers(saved_);
-  }
+  ~scoped_workers() { set_num_workers(saved_); }
   scoped_workers(const scoped_workers&) = delete;
   scoped_workers& operator=(const scoped_workers&) = delete;
 
  private:
-  backend backend_;
   int saved_;
 };
 
 // Parallel loop over [start, end). `f` is invoked once per index. Runs
 // sequentially when the range is below `grain` or when already inside a
-// parallel region at full occupancy (nested parallel-for serializes — the
-// right policy for the divide-and-conquer sorts on both backends).
+// parallel region (nested parallel-for serializes — the right policy for
+// the divide-and-conquer sorts).
 template <typename F>
 void parallel_for(size_t start, size_t end, F&& f, size_t grain = kDefaultGrain) {
   if (end <= start) return;
   const size_t n = end - start;
   const size_t num_blocks = (n + grain - 1) / grain;
-
-  if (current_backend() == backend::kThreadPool) {
-    if (n <= grain || thread_pool::instance().num_threads() == 1 ||
-        thread_pool::in_region) {
-      for (size_t i = start; i < end; ++i) f(i);
-      return;
-    }
-    thread_pool::instance().run(num_blocks, [&](size_t b) {
-      const size_t lo = start + b * grain;
-      const size_t hi = std::min(end, lo + grain);
-      for (size_t i = lo; i < hi; ++i) f(i);
-    });
-    return;
-  }
 
   if (n <= grain || omp_get_max_threads() == 1 || omp_in_parallel()) {
     for (size_t i = start; i < end; ++i) f(i);
@@ -228,22 +161,6 @@ void parallel_for(size_t start, size_t end, F&& f, size_t grain = kDefaultGrain)
 // Equivalent of cilk_spawn/cilk_sync for two-way divide and conquer.
 template <typename L, typename R>
 void par_do(L&& left, R&& right) {
-  if (current_backend() == backend::kThreadPool) {
-    if (thread_pool::instance().num_threads() == 1 || thread_pool::in_region) {
-      left();
-      right();
-      return;
-    }
-    thread_pool::instance().run(2, [&](size_t b) {
-      if (b == 0) {
-        left();
-      } else {
-        right();
-      }
-    });
-    return;
-  }
-
   if (omp_get_max_threads() == 1) {
     left();
     right();

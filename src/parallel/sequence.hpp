@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <numeric>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/arena.hpp"
@@ -58,7 +59,10 @@ T reduce(size_t n, F&& f, T identity, Combine&& combine,
     for (size_t i = 0; i < n; ++i) acc = combine(acc, f(i));
     return acc;
   }
-  std::vector<T> block(nb, identity);
+  // One byte per bool block: std::vector<bool> packs bits, so concurrent
+  // per-block writes would race on shared words.
+  using slot = std::conditional_t<std::is_same_v<T, bool>, uint8_t, T>;
+  std::vector<slot> block(nb, identity);
   parallel_for(
       0, nb,
       [&](size_t b) {
@@ -70,7 +74,9 @@ T reduce(size_t n, F&& f, T identity, Combine&& combine,
       },
       1);
   T acc = identity;
-  for (size_t b = 0; b < nb; ++b) acc = combine(acc, block[b]);
+  for (size_t b = 0; b < nb; ++b) {
+    acc = combine(acc, static_cast<T>(block[b]));
+  }
   return acc;
 }
 

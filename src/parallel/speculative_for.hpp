@@ -67,9 +67,8 @@ template <typename Step>
 size_t speculative_for(Step& step, size_t num_iterates,
                        size_t granularity = 0) {
   if (granularity == 0) {
-    // num_workers() reports the active backend's capped value (the pool's
-    // active-thread cap, not its spawned size), so the batch size tracks
-    // scoped_workers consistently with emit.hpp's per-worker sizing.
+    // num_workers() reports the scoped_workers cap, so the batch size
+    // tracks it consistently with emit.hpp's per-worker sizing.
     granularity = std::max<size_t>(64, 16 * static_cast<size_t>(num_workers()));
   }
 

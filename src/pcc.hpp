@@ -41,6 +41,5 @@
 #include "parallel/random.hpp"
 #include "parallel/sample_sort.hpp"
 #include "parallel/scheduler.hpp"
-#include "parallel/thread_pool.hpp"
 #include "parallel/sequence.hpp"
 #include "parallel/timer.hpp"

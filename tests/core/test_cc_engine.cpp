@@ -1,8 +1,7 @@
 // cc_engine: the reusable workspace-backed executor behind
 // connected_components.
 //
-//   (1) run() agrees with the one-shot API for every variant on both
-//       scheduler backends;
+//   (1) run() agrees with the one-shot API for every variant;
 //   (2) after warm-up, run() converges to zero heap allocation (counted
 //       with a global operator-new hook — the whole library allocates
 //       through operator new, so a zero count really means "no
@@ -133,29 +132,26 @@ TEST(CcEngine, MatchesOneShotExactlyOnOneWorker) {
   }
 }
 
-TEST(CcEngine, ValidOnCorpusBothBackends) {
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    for (const auto& [vname, variant] : all_variants()) {
-      cc_options opt;
-      opt.algorithm = "decomp";
-      opt.variant = variant;
-      cc::cc_engine engine(opt);
-      for (const auto& gc : pcc::testing::correctness_corpus()) {
-        const graph::graph g = gc.make();
-        const std::span<const vertex_id> labels = engine.run(g);
-        ASSERT_EQ(labels.size(), g.num_vertices()) << gc.name;
-        if (g.num_vertices() == 0) continue;
-        const std::vector<vertex_id> copy(labels.begin(), labels.end());
-        EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy))
-            << vname << " on " << gc.name;
-        EXPECT_TRUE(baselines::labels_are_representatives(copy))
-            << vname << " on " << gc.name;
-        // Same partition as the one-shot API.
-        EXPECT_TRUE(baselines::labels_equivalent(
-            copy, connected_components(g, opt)))
-            << vname << " on " << gc.name;
-      }
+TEST(CcEngine, ValidOnCorpus) {
+  for (const auto& [vname, variant] : all_variants()) {
+    cc_options opt;
+    opt.algorithm = "decomp";
+    opt.variant = variant;
+    cc::cc_engine engine(opt);
+    for (const auto& gc : pcc::testing::correctness_corpus()) {
+      const graph::graph g = gc.make();
+      const std::span<const vertex_id> labels = engine.run(g);
+      ASSERT_EQ(labels.size(), g.num_vertices()) << gc.name;
+      if (g.num_vertices() == 0) continue;
+      const std::vector<vertex_id> copy(labels.begin(), labels.end());
+      EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy))
+          << vname << " on " << gc.name;
+      EXPECT_TRUE(baselines::labels_are_representatives(copy))
+          << vname << " on " << gc.name;
+      // Same partition as the one-shot API.
+      EXPECT_TRUE(baselines::labels_equivalent(
+          copy, connected_components(g, opt)))
+          << vname << " on " << gc.name;
     }
   }
 }
@@ -233,33 +229,29 @@ TEST(CcEngine, HotPathRunIsAllocationFree) {
   // monotone, so the engine must reach an allocation-free run within a few
   // attempts; an engine that allocated unconditionally on the hot path
   // (per-level vectors, per-round scratch) would never produce one.
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    for (const auto& [vname, variant] : all_variants()) {
-      const graph::graph g = graph::random_graph(20000, 5, 7);
-      cc_options opt;
-      opt.algorithm = "decomp";
-      opt.variant = variant;
-      cc::cc_engine engine(opt);
-      engine.run(g);  // warm-up: arenas chain chunks as needed
-      engine.run(g);  // warm-up: reset() consolidates to high-water mark
+  for (const auto& [vname, variant] : all_variants()) {
+    const graph::graph g = graph::random_graph(20000, 5, 7);
+    cc_options opt;
+    opt.algorithm = "decomp";
+    opt.variant = variant;
+    cc::cc_engine engine(opt);
+    engine.run(g);  // warm-up: arenas chain chunks as needed
+    engine.run(g);  // warm-up: reset() consolidates to high-water mark
 
-      bool saw_clean_run = false;
-      std::span<const vertex_id> labels;
-      for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
-        g_alloc_count.store(0, std::memory_order_relaxed);
-        g_count_allocs.store(true, std::memory_order_relaxed);
-        labels = engine.run(g);
-        g_count_allocs.store(false, std::memory_order_relaxed);
-        saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
-      }
-
-      EXPECT_TRUE(saw_clean_run)
-          << "no allocation-free run in 10 attempts; variant " << vname
-          << " backend " << (b == parallel::backend::kOpenMP ? "omp" : "pool");
-      const std::vector<vertex_id> copy(labels.begin(), labels.end());
-      EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << vname;
+    bool saw_clean_run = false;
+    std::span<const vertex_id> labels;
+    for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
+      g_alloc_count.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      labels = engine.run(g);
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
     }
+
+    EXPECT_TRUE(saw_clean_run)
+        << "no allocation-free run in 10 attempts; variant " << vname;
+    const std::vector<vertex_id> copy(labels.begin(), labels.end());
+    EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << vname;
   }
 }
 

@@ -1,7 +1,7 @@
 // The Liu–Tarjan concurrent-labeling kernel (core/labeling.hpp): the named
 // variant table, every hook × shortcut × alter policy combination (the
 // certification epilogue makes all of them unconditionally correct), and
-// the canonical min-label guarantee across backends and worker counts.
+// the canonical min-label guarantee across worker counts.
 
 #include <gtest/gtest.h>
 
@@ -72,21 +72,18 @@ TEST(Labeling, EveryPolicyCombinationIsCorrect) {
   }
 }
 
-TEST(Labeling, LabelsAreComponentMinimaBothBackends) {
+TEST(Labeling, LabelsAreComponentMinima) {
   const graph::graph g = graph::rmat_graph(4096, 20000, 19);
   const std::vector<vertex_id> oracle = baselines::serial_sf_components(g);
   std::vector<vertex_id> min_of(g.num_vertices(), kNoVertex);
   for (size_t v = 0; v < oracle.size(); ++v) {
     min_of[oracle[v]] = std::min(min_of[oracle[v]], static_cast<vertex_id>(v));
   }
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    for (const cc::lt_variant& v : cc::liu_tarjan_variants()) {
-      const std::vector<vertex_id> labels =
-          cc::liu_tarjan_components(g, v.policy);
-      for (size_t u = 0; u < labels.size(); ++u) {
-        ASSERT_EQ(labels[u], min_of[oracle[u]]) << v.name << " vertex " << u;
-      }
+  for (const cc::lt_variant& v : cc::liu_tarjan_variants()) {
+    const std::vector<vertex_id> labels =
+        cc::liu_tarjan_components(g, v.policy);
+    for (size_t u = 0; u < labels.size(); ++u) {
+      ASSERT_EQ(labels[u], min_of[oracle[u]]) << v.name << " vertex " << u;
     }
   }
 }

@@ -1,8 +1,8 @@
 // The cc::algorithm registry: metadata, lookup, the randomized equivalence
 // battery (every registered algorithm — including the Liu–Tarjan variants
-// and "auto" — against the sequential oracle on adversarial inputs under
-// both scheduler backends), and the allocation-free repeated-query
-// guarantee for workspace-backed entries.
+// and "auto" — against the sequential oracle on adversarial inputs), and
+// the allocation-free repeated-query guarantee for workspace-backed
+// entries.
 
 #include <gtest/gtest.h>
 
@@ -151,25 +151,22 @@ TEST(Registry, ResolveMapsDecompAndThrowsOnUnknown) {
   EXPECT_THROW(cc::resolve_algorithm(opt), std::invalid_argument);
 }
 
-TEST(Registry, EquivalenceBatteryBothBackends) {
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    cc::algo_workspace ws;
-    for (const graph_case& gc : battery_corpus()) {
-      const graph::graph g = gc.make();
-      const std::vector<vertex_id> oracle = baselines::serial_sf_components(g);
-      std::vector<vertex_id> labels(g.num_vertices());
-      for (const cc::algorithm& algo : cc::algorithms()) {
-        cc::cc_options opt;
-        opt.seed = 3;
-        cc::run_algorithm(algo, g, opt, ws, labels);
-        EXPECT_TRUE(baselines::labels_equivalent(oracle, labels))
-            << algo.name << " on " << gc.name;
-        EXPECT_TRUE(baselines::is_valid_components_labeling(g, labels))
-            << algo.name << " on " << gc.name;
-        EXPECT_TRUE(baselines::labels_are_representatives(labels))
-            << algo.name << " on " << gc.name;
-      }
+TEST(Registry, EquivalenceBattery) {
+  cc::algo_workspace ws;
+  for (const graph_case& gc : battery_corpus()) {
+    const graph::graph g = gc.make();
+    const std::vector<vertex_id> oracle = baselines::serial_sf_components(g);
+    std::vector<vertex_id> labels(g.num_vertices());
+    for (const cc::algorithm& algo : cc::algorithms()) {
+      cc::cc_options opt;
+      opt.seed = 3;
+      cc::run_algorithm(algo, g, opt, ws, labels);
+      EXPECT_TRUE(baselines::labels_equivalent(oracle, labels))
+          << algo.name << " on " << gc.name;
+      EXPECT_TRUE(baselines::is_valid_components_labeling(g, labels))
+          << algo.name << " on " << gc.name;
+      EXPECT_TRUE(baselines::labels_are_representatives(labels))
+          << algo.name << " on " << gc.name;
     }
   }
 }

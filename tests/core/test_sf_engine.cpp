@@ -4,8 +4,8 @@
 //   (1) run() agrees with the one-shot API and with connectivity
 //       (forest valid, labels the same partition as the oracle);
 //   (2) the forest and the labels are bit-identical across worker counts
-//       and scheduler backends (the two-phase claim protocol's whole
-//       point), and stable across repeated runs of a warm engine;
+//       (the two-phase claim protocol's whole point), and stable across
+//       repeated runs of a warm engine;
 //   (3) after warm-up, run() converges to zero heap allocation (global
 //       operator-new hook, same discipline as test_cc_engine.cpp);
 //   (4) through the registry, the reorder wrapper maps the forest back to
@@ -163,32 +163,28 @@ TEST(SfEngine, MatchesOneShotExactly) {
   }
 }
 
-TEST(SfEngine, ValidOnCorpusBothBackends) {
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    sf_engine engine;
-    for (const auto& gc : pcc::testing::correctness_corpus()) {
-      const graph::graph g = gc.make();
-      const sf_engine::result r = engine.run(g);
-      ASSERT_EQ(r.labels.size(), g.num_vertices()) << gc.name;
-      expect_valid_forest(g, r.forest);
-      if (g.num_vertices() == 0) continue;
-      const std::vector<vertex_id> copy(r.labels.begin(), r.labels.end());
-      EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << gc.name;
-      EXPECT_TRUE(baselines::labels_are_representatives(copy)) << gc.name;
-      // Labels and forest tell the same connectivity story.
-      EXPECT_EQ(r.forest.size(), g.num_vertices() - cc::num_components(copy))
-          << gc.name;
-    }
+TEST(SfEngine, ValidOnCorpus) {
+  sf_engine engine;
+  for (const auto& gc : pcc::testing::correctness_corpus()) {
+    const graph::graph g = gc.make();
+    const sf_engine::result r = engine.run(g);
+    ASSERT_EQ(r.labels.size(), g.num_vertices()) << gc.name;
+    expect_valid_forest(g, r.forest);
+    if (g.num_vertices() == 0) continue;
+    const std::vector<vertex_id> copy(r.labels.begin(), r.labels.end());
+    EXPECT_TRUE(baselines::is_valid_components_labeling(g, copy)) << gc.name;
+    EXPECT_TRUE(baselines::labels_are_representatives(copy)) << gc.name;
+    // Labels and forest tell the same connectivity story.
+    EXPECT_EQ(r.forest.size(), g.num_vertices() - cc::num_components(copy))
+        << gc.name;
   }
 }
 
-TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
+TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkers) {
   // The determinism contract: forest AND labels are a pure function of
-  // (graph, options) — bit-identical across worker counts and scheduler
-  // backends. This is what the two-phase claim resolution buys; a CAS
-  // free-for-all would pass every validity check above and still fail
-  // here.
+  // (graph, options) — bit-identical across worker counts. This is what
+  // the two-phase claim resolution buys; a CAS free-for-all would pass
+  // every validity check above and still fail here.
   const struct {
     const char* name;
     graph::graph g;
@@ -200,7 +196,7 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
   cc_options opt;
   opt.seed = 12345;
   for (const auto& c : cases) {
-    // Baseline: one worker, OpenMP.
+    // Baseline: one worker.
     std::vector<graph::edge> base_forest;
     std::vector<vertex_id> base_labels;
     {
@@ -210,25 +206,19 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkersAndBackends) {
       base_forest.assign(r.forest.begin(), r.forest.end());
       base_labels.assign(r.labels.begin(), r.labels.end());
     }
-    for (auto b :
-         {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-      parallel::scoped_backend guard(b);
-      for (int workers : {1, 2, 3, 4, 8}) {
-        parallel::scoped_workers w(workers);
-        sf_engine engine(opt);
-        const sf_engine::result r = engine.run(c.g);
-        const std::string what =
-            std::string(c.name) + " workers=" + std::to_string(workers) +
-            " backend=" +
-            (b == parallel::backend::kThreadPool ? "pool" : "openmp");
-        ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
-        for (size_t i = 0; i < base_forest.size(); ++i) {
-          ASSERT_EQ(r.forest[i], base_forest[i]) << what << " edge " << i;
-        }
-        ASSERT_EQ(r.labels.size(), base_labels.size()) << what;
-        for (size_t v = 0; v < base_labels.size(); ++v) {
-          ASSERT_EQ(r.labels[v], base_labels[v]) << what << " vertex " << v;
-        }
+    for (int workers : {1, 2, 3, 4, 8}) {
+      parallel::scoped_workers w(workers);
+      sf_engine engine(opt);
+      const sf_engine::result r = engine.run(c.g);
+      const std::string what =
+          std::string(c.name) + " workers=" + std::to_string(workers);
+      ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
+      for (size_t i = 0; i < base_forest.size(); ++i) {
+        ASSERT_EQ(r.forest[i], base_forest[i]) << what << " edge " << i;
+      }
+      ASSERT_EQ(r.labels.size(), base_labels.size()) << what;
+      for (size_t v = 0; v < base_labels.size(); ++v) {
+        ASSERT_EQ(r.labels[v], base_labels[v]) << what << " vertex " << v;
       }
     }
   }
@@ -298,30 +288,26 @@ TEST(SfEngine, HotPathRunIsAllocationFree) {
   // run 1 grows the arenas, run 2 consolidates them, and after that the
   // engine must reach an allocation-free run within a few attempts (the
   // forest pipeline is deterministic, so in practice the third run is
-  // already clean — the retry loop only absorbs backend-side lazies like
-  // thread-pool bootstrap).
-  for (auto b : {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    parallel::scoped_backend guard(b);
-    const graph::graph g = graph::random_graph(20000, 5, 7);
-    sf_engine engine;
-    engine.run(g);  // warm-up: arenas chain chunks as needed
-    engine.run(g);  // warm-up: reset() consolidates to high-water mark
+  // already clean — the retry loop only absorbs runtime-side lazies like
+  // OpenMP team bootstrap).
+  const graph::graph g = graph::random_graph(20000, 5, 7);
+  sf_engine engine;
+  engine.run(g);  // warm-up: arenas chain chunks as needed
+  engine.run(g);  // warm-up: reset() consolidates to high-water mark
 
-    bool saw_clean_run = false;
-    sf_engine::result r;
-    for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
-      g_alloc_count.store(0, std::memory_order_relaxed);
-      g_count_allocs.store(true, std::memory_order_relaxed);
-      r = engine.run(g);
-      g_count_allocs.store(false, std::memory_order_relaxed);
-      saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
-    }
-
-    EXPECT_TRUE(saw_clean_run)
-        << "no allocation-free run in 10 attempts; backend "
-        << (b == parallel::backend::kOpenMP ? "omp" : "pool");
-    expect_valid_forest(g, r.forest);
+  bool saw_clean_run = false;
+  sf_engine::result r;
+  for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    r = engine.run(g);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
   }
+
+  EXPECT_TRUE(saw_clean_run)
+      << "no allocation-free run in 10 attempts";
+  expect_valid_forest(g, r.forest);
 }
 
 TEST(SfEngine, ReserveFrontLoadsAllocation) {
@@ -375,7 +361,7 @@ std::vector<testing::graph_case> skew_corpus() {
 
 class SfReorder : public ::testing::TestWithParam<testing::graph_case> {};
 
-TEST_P(SfReorder, ForestValidAcrossPoliciesAndBackends) {
+TEST_P(SfReorder, ForestValidAcrossPolicies) {
   const graph::graph g = GetParam().make();
   const size_t n = g.num_vertices();
   const cc::algorithm* algo = cc::find_algorithm("spanning-forest");
@@ -388,22 +374,16 @@ TEST_P(SfReorder, ForestValidAcrossPoliciesAndBackends) {
   std::vector<vertex_id> baseline(n);
   cc::run_algorithm(*algo, g, base_opt, ws, baseline);
 
-  for (const parallel::backend backend :
-       {parallel::backend::kOpenMP, parallel::backend::kThreadPool}) {
-    const parallel::scoped_backend bg(backend);
-    for (const cc::reorder_policy policy : kFixedPolicies) {
-      cc_options opt;
-      opt.reorder = policy;
-      std::vector<vertex_id> labels(n);
-      cc::run_algorithm(*algo, g, opt, ws, labels);
-      const std::string what =
-          std::string("policy=") + cc::reorder_policy_name(policy) +
-          " backend=" +
-          (backend == parallel::backend::kThreadPool ? "pool" : "openmp");
-      // The mapped-back forest is a spanning forest of the ORIGINAL graph.
-      expect_valid_forest(g, ws.last_forest);
-      expect_same_partition(labels, baseline, what);
-    }
+  for (const cc::reorder_policy policy : kFixedPolicies) {
+    cc_options opt;
+    opt.reorder = policy;
+    std::vector<vertex_id> labels(n);
+    cc::run_algorithm(*algo, g, opt, ws, labels);
+    const std::string what =
+        std::string("policy=") + cc::reorder_policy_name(policy);
+    // The mapped-back forest is a spanning forest of the ORIGINAL graph.
+    expect_valid_forest(g, ws.last_forest);
+    expect_same_partition(labels, baseline, what);
   }
 }
 

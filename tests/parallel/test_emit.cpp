@@ -2,7 +2,7 @@
 // count_then_emit), edge-balanced traversal (frontier_edge_for), and the
 // split-piece stitching protocol — plus pipeline-level determinism checks:
 // the emission order and the contracted/dedup output must be identical
-// across scheduler backends, worker counts, and chunk widths.
+// across worker counts and chunk widths.
 
 #include "parallel/emit.hpp"
 
@@ -22,17 +22,13 @@
 namespace {
 
 using namespace pcc;
-using parallel::backend;
 using parallel::emit_pack;
 using parallel::emitter;
 using parallel::frontier_edge_opts;
 using parallel::frontier_piece;
 using parallel::frontier_result;
-using parallel::scoped_backend;
 using parallel::scoped_workers;
 using parallel::workspace;
-
-const backend kBackends[] = {backend::kOpenMP, backend::kThreadPool};
 
 // ---------------------------------------------------------------------------
 // emit_pack
@@ -58,21 +54,18 @@ TEST(EmitPack, SingletonInput) {
 }
 
 TEST(EmitPack, FilterKeepsIndexOrder) {
-  for (const backend b : kBackends) {
-    scoped_backend guard(b);
-    workspace ws;
-    const size_t n = 10000;
-    std::vector<uint32_t> out(n);
-    // grain 64 forces many blocks even at this size.
-    const size_t kept = emit_pack<uint32_t>(
-        n, std::span<uint32_t>(out), ws,
-        [&](size_t i, emitter<uint32_t>& em) {
-          if (i % 3 == 0) em(static_cast<uint32_t>(i));
-        },
-        1, 64);
-    ASSERT_EQ(kept, (n + 2) / 3);
-    for (size_t k = 0; k < kept; ++k) EXPECT_EQ(out[k], 3 * k);
-  }
+  workspace ws;
+  const size_t n = 10000;
+  std::vector<uint32_t> out(n);
+  // grain 64 forces many blocks even at this size.
+  const size_t kept = emit_pack<uint32_t>(
+      n, std::span<uint32_t>(out), ws,
+      [&](size_t i, emitter<uint32_t>& em) {
+        if (i % 3 == 0) em(static_cast<uint32_t>(i));
+      },
+      1, 64);
+  ASSERT_EQ(kept, (n + 2) / 3);
+  for (size_t k = 0; k < kept; ++k) EXPECT_EQ(out[k], 3 * k);
 }
 
 TEST(EmitPack, BodyRunsExactlyOncePerIndex) {
@@ -120,27 +113,24 @@ TEST(CountThenEmit, EmptyInput) {
 }
 
 TEST(CountThenEmit, MatchesSerialFilter) {
-  for (const backend b : kBackends) {
-    scoped_backend guard(b);
-    workspace ws;
-    const size_t n = 20000;
-    std::vector<uint32_t> data(n);
-    for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint32_t>((i * 7) % 11);
-    std::vector<uint32_t> out(n);
-    const size_t kept = parallel::count_then_emit<uint32_t>(
-        n, std::span<uint32_t>(out), ws,
-        [&](size_t i, auto& em) {
-          if (data[i] < 4) em(data[i] * 100 + static_cast<uint32_t>(i % 100));
-        },
-        256);
-    std::vector<uint32_t> expect;
-    for (size_t i = 0; i < n; ++i) {
-      if (data[i] < 4) expect.push_back(data[i] * 100 +
-                                        static_cast<uint32_t>(i % 100));
-    }
-    ASSERT_EQ(kept, expect.size());
-    for (size_t k = 0; k < kept; ++k) ASSERT_EQ(out[k], expect[k]);
+  workspace ws;
+  const size_t n = 20000;
+  std::vector<uint32_t> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint32_t>((i * 7) % 11);
+  std::vector<uint32_t> out(n);
+  const size_t kept = parallel::count_then_emit<uint32_t>(
+      n, std::span<uint32_t>(out), ws,
+      [&](size_t i, auto& em) {
+        if (data[i] < 4) em(data[i] * 100 + static_cast<uint32_t>(i % 100));
+      },
+      256);
+  std::vector<uint32_t> expect;
+  for (size_t i = 0; i < n; ++i) {
+    if (data[i] < 4) expect.push_back(data[i] * 100 +
+                                      static_cast<uint32_t>(i % 100));
   }
+  ASSERT_EQ(kept, expect.size());
+  for (size_t k = 0; k < kept; ++k) ASSERT_EQ(out[k], expect[k]);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,8 +219,8 @@ TEST(FrontierEdgeFor, CoversEveryEdgeSlotExactlyOnce) {
   }
 }
 
-// Emissions land in flattened edge order — independent of chunk width,
-// backend, and worker count.
+// Emissions land in flattened edge order — independent of chunk width
+// and worker count.
 TEST(FrontierEdgeFor, EmissionOrderIsFlattenedEdgeOrder) {
   const std::vector<uint32_t> degs = {5, 4096, 0, 3, 100, 1};
   const size_t total = std::accumulate(degs.begin(), degs.end(), size_t{0});
@@ -253,22 +243,19 @@ TEST(FrontierEdgeFor, EmissionOrderIsFlattenedEdgeOrder) {
                    .emitted;
   }
   ASSERT_GT(expect_n, 0u);
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const int workers : {1, 2, 4}) {
-      scoped_workers wg(workers);
-      for (const size_t chunk : {size_t{0}, size_t{9}, size_t{1024}}) {
-        workspace ws;
-        std::vector<uint64_t> out(total);
-        const frontier_result run = parallel::frontier_edge_for<uint64_t>(
-            degs.size(), [&](size_t fi) { return degs[fi]; },
-            std::span<uint64_t>(out), ws, body, frontier_edge_opts{chunk});
-        ASSERT_EQ(run.emitted, expect_n);
-        for (size_t k = 0; k < expect_n; ++k) {
-          ASSERT_EQ(out[k], expect[k])
-              << "backend " << static_cast<int>(b) << " workers " << workers
-              << " chunk " << chunk << " pos " << k;
-        }
+  for (const int workers : {1, 2, 4}) {
+    scoped_workers wg(workers);
+    for (const size_t chunk : {size_t{0}, size_t{9}, size_t{1024}}) {
+      workspace ws;
+      std::vector<uint64_t> out(total);
+      const frontier_result run = parallel::frontier_edge_for<uint64_t>(
+          degs.size(), [&](size_t fi) { return degs[fi]; },
+          std::span<uint64_t>(out), ws, body, frontier_edge_opts{chunk});
+      ASSERT_EQ(run.emitted, expect_n);
+      for (size_t k = 0; k < expect_n; ++k) {
+        ASSERT_EQ(out[k], expect[k])
+            << "workers " << workers
+            << " chunk " << chunk << " pos " << k;
       }
     }
   }
@@ -345,7 +332,7 @@ TEST(FixSplitPieces, EmptyIsNoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline-level determinism across thread counts and backends.
+// Pipeline-level determinism across thread counts.
 
 TEST(Determinism, DecompMinClusterLabelsAcrossThreadCounts) {
   const graph::graph g = graph::rmat_graph(4096, 30000, 11);
@@ -353,18 +340,15 @@ TEST(Determinism, DecompMinClusterLabelsAcrossThreadCounts) {
   opt.beta = 0.2;
   opt.seed = 42;
   std::vector<vertex_id> reference;
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const int workers : {1, 2, 4}) {
-      scoped_workers wg(workers);
-      const ldd::result dec = ldd::decompose_min(g, opt);
-      if (reference.empty()) {
-        reference = dec.cluster;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        ASSERT_EQ(dec.cluster, reference)
-            << "backend " << static_cast<int>(b) << " workers " << workers;
-      }
+  for (const int workers : {1, 2, 4}) {
+    scoped_workers wg(workers);
+    const ldd::result dec = ldd::decompose_min(g, opt);
+    if (reference.empty()) {
+      reference = dec.cluster;
+      ASSERT_FALSE(reference.empty());
+    } else {
+      ASSERT_EQ(dec.cluster, reference)
+          << "workers " << workers;
     }
   }
 }
@@ -381,21 +365,18 @@ TEST(Determinism, ContractDedupOutputAcrossThreadCounts) {
   const ldd::result dec = ldd::decomp_min(wg, opt, nullptr);
   std::vector<edge_id> ref_off;
   std::vector<vertex_id> ref_edges;
-  for (const backend b : kBackends) {
-    scoped_backend bg(b);
-    for (const int workers : {1, 2, 4}) {
-      scoped_workers wkg(workers);
-      const cc::contraction con = cc::contract(wg, dec, /*dedup=*/true);
-      if (ref_off.empty()) {
-        ref_off = con.contracted.offsets();
-        ref_edges = con.contracted.edges();
-        ASSERT_FALSE(ref_off.empty());
-      } else {
-        ASSERT_EQ(con.contracted.offsets(), ref_off)
-            << "backend " << static_cast<int>(b) << " workers " << workers;
-        ASSERT_EQ(con.contracted.edges(), ref_edges)
-            << "backend " << static_cast<int>(b) << " workers " << workers;
-      }
+  for (const int workers : {1, 2, 4}) {
+    scoped_workers wkg(workers);
+    const cc::contraction con = cc::contract(wg, dec, /*dedup=*/true);
+    if (ref_off.empty()) {
+      ref_off = con.contracted.offsets();
+      ref_edges = con.contracted.edges();
+      ASSERT_FALSE(ref_off.empty());
+    } else {
+      ASSERT_EQ(con.contracted.offsets(), ref_off)
+          << "workers " << workers;
+      ASSERT_EQ(con.contracted.edges(), ref_edges)
+          << "workers " << workers;
     }
   }
 }

@@ -79,26 +79,23 @@ TEST(ParDo, RecursiveDivideAndConquerSum) {
 }
 
 TEST(Workers, WorkerIdsAreInRangeAndStable) {
-  // worker_id() must return a stable id in [0, num_workers()) on both
-  // backends — code that partitions per-worker scratch relies on it.
-  for (backend b : {backend::kOpenMP, backend::kThreadPool}) {
-    scoped_backend guard(b);
-    const int nw = num_workers();
-    const size_t n = 1 << 16;
-    std::vector<int> ids(n, -1);
-    parallel_for(0, n, [&](size_t i) { ids[i] = worker_id(); }, 64);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_GE(ids[i], 0) << i;
-      ASSERT_LT(ids[i], nw) << i;
-    }
-    // Two calls on the same thread agree (stability within a region).
-    parallel_for(0, n, [&](size_t i) {
-      const int a = worker_id();
-      const int c = worker_id();
-      if (a != c) ids[i] = -1;
-    }, 64);
-    for (size_t i = 0; i < n; ++i) ASSERT_NE(ids[i], -1) << i;
+  // worker_id() must return a stable id in [0, num_workers()) — code that
+  // partitions per-worker scratch relies on it.
+  const int nw = num_workers();
+  const size_t n = 1 << 16;
+  std::vector<int> ids(n, -1);
+  parallel_for(0, n, [&](size_t i) { ids[i] = worker_id(); }, 64);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_GE(ids[i], 0) << i;
+    ASSERT_LT(ids[i], nw) << i;
   }
+  // Two calls on the same thread agree (stability within a region).
+  parallel_for(0, n, [&](size_t i) {
+    const int a = worker_id();
+    const int c = worker_id();
+    if (a != c) ids[i] = -1;
+  }, 64);
+  for (size_t i = 0; i < n; ++i) ASSERT_NE(ids[i], -1) << i;
 }
 
 TEST(Workers, ScopedOverrideRestores) {
@@ -115,6 +112,15 @@ TEST(Workers, SetClampsToOne) {
   set_num_workers(0);
   EXPECT_GE(num_workers(), 1);
   set_num_workers(before);
+}
+
+TEST(WorkersDeathTest, SetInsideParallelRegionAsserts) {
+  // emit.hpp sizes per-worker staging at region entry, so the worker count
+  // must not change inside a region; debug builds enforce it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  scoped_workers two(2);
+  EXPECT_DEBUG_DEATH(par_do([] { set_num_workers(3); }, [] {}),
+                     "set_num_workers inside a parallel region");
 }
 
 TEST(Timer, MeasuresElapsedMonotonically) {

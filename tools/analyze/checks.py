@@ -470,8 +470,8 @@ def worker_slot_index(sub: list, worker_locals: set[str]) -> bool:
     exactly `worker_id()` or exactly a local initialized from worker_id().
     Distinct workers get distinct slots and a worker re-writing its own
     slot races with nobody, so such stores are per-owner private — the
-    parked-worker / per-worker-deque pattern (each participant owns the
-    deque at its own worker index). Deliberately narrow: any arithmetic
+    per-worker slot pattern (each worker owns the cell at its own
+    index). Deliberately narrow: any arithmetic
     around the id (`worker_id() + i`, `base - worker_id()`) can collide
     across workers and stays flagged."""
     if _is_worker_id_call(sub):
@@ -828,7 +828,7 @@ class Analyzer:
         # owner-indexed disjointness: any subscript level injective in the
         # owner parameter makes the touched cells iteration-private; a
         # subscript that is exactly the calling worker's id pins the cell
-        # to one thread (per-worker slot / parked-worker deque pattern)
+        # to one thread (per-worker slot pattern)
         worker_locals = {
             name for name, d in region.locals.items()
             if d.init and _is_worker_id_call(list(d.init))

@@ -1,9 +1,7 @@
 // Negative fixtures for per-worker-slot stores: a subscript that is
 // exactly the calling worker's id pins the cell to one thread, so the
 // store is private no matter which iterations the worker claims — the
-// pattern behind the thread pool's per-worker block deques (each
-// participant owns the deque at its own worker index; parked workers
-// never touch one) and per-worker counter/staging arrays.
+// pattern behind per-worker counter/staging arrays.
 #include "prelude.hpp"
 
 // Direct worker_id() subscript, unqualified and qualified.

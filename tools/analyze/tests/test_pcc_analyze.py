@@ -102,9 +102,8 @@ class WitnessSpanTests(unittest.TestCase):
 
 class WorkerSlotTests(unittest.TestCase):
     """Per-worker-slot stores: a subscript that is exactly worker_id()
-    (or a local holding it) pins the cell to one thread — the thread
-    pool's parked-worker deque fields and per-worker counters are
-    per-owner, not shared."""
+    (or a local holding it) pins the cell to one thread — per-worker
+    counters and staging slots are per-owner, not shared."""
 
     def test_negative_fixture(self):
         findings = analyze("good_worker_slots.cpp")

@@ -24,13 +24,10 @@ namespace {
 constexpr const char kUsage[] =
     "usage: pcc_components [--format {auto|adj|badj|snap}] [--algo NAME]\n"
     "                      [--beta B] [--seed S] [--threads T] [--repeat N]\n"
-    "                      [--backend {openmp|pool}]\n"
     "                      [--reorder {auto|none|degree|hub|bfs}]\n"
     "                      [--out labels.txt] [--forest forest.txt]\n"
     "                      [--stats] [--verify] [--verbose] [--serial-io]\n"
     "                      INPUT\n"
-    "  --backend B  scheduler backend for the run (default: openmp);\n"
-    "               --threads caps the worker count on that backend.\n"
     "  --algo NAME  a registered algorithm (default: auto, which probes the\n"
     "               graph and picks one); `--algo help` lists them all.\n"
     "  --repeat N   answer the query N times through one reusable\n"
@@ -54,7 +51,7 @@ int run(int argc, char** argv) {
   tools::arg_parser args(
       argc, argv,
       {"format", "algo", "beta", "seed", "threads", "repeat", "out", "forest",
-       "backend", "reorder"},
+       "reorder"},
       {"stats", "verify", "verbose", "serial-io"});
   if (args.positionals().size() != 1) tools::usage_and_exit(kUsage);
 
@@ -68,14 +65,6 @@ int run(int argc, char** argv) {
   }
   const double beta = args.get_double("beta", 0.2);
   const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 42));
-  // Backend first: set_num_workers applies to the current backend.
-  const std::string backend = args.get("backend", "openmp");
-  if (backend == "pool") {
-    parallel::set_backend(parallel::backend::kThreadPool);
-  } else if (backend != "openmp") {
-    throw tools::arg_error("unknown --backend " + backend +
-                           " (expected openmp or pool)");
-  }
   const int threads = static_cast<int>(args.get_int("threads", 0));
   if (threads > 0) parallel::set_num_workers(threads);
   const int repeat = std::max(1, static_cast<int>(args.get_int("repeat", 1)));
@@ -214,7 +203,7 @@ int run(int argc, char** argv) {
     // If the query algorithm already produced a forest (--algo
     // spanning-forest), reuse it; otherwise answer with one run of the
     // registered spanning-forest entry through the same workspace. Either
-    // way --beta/--seed/--backend/--threads apply uniformly.
+    // way --beta/--seed/--threads apply uniformly.
     std::span<const graph::edge> forest = ws.last_forest;
     std::vector<graph::edge> mapped;
     if (!algorithm->produces_forest) {

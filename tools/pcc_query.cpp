@@ -9,9 +9,9 @@
 //   pcc_query graph.adj largest 3         # sizes of the 3 largest
 //
 // The connectivity knobs mean exactly what they mean for pcc_components:
-// --beta/--seed steer the decomposition, --threads/--backend the
-// scheduler, --reorder the locality relabeling (answers are always in
-// original vertex ids).
+// --beta/--seed steer the decomposition, --threads the scheduler,
+// --reorder the locality relabeling (answers are always in original
+// vertex ids).
 
 #include <cstdio>
 #include <span>
@@ -25,7 +25,7 @@ namespace {
 
 constexpr const char kUsage[] =
     "usage: pcc_query [--format {auto|adj|badj|snap}] [--beta B] [--seed S]\n"
-    "                 [--threads T] [--backend {openmp|pool}]\n"
+    "                 [--threads T]\n"
     "                 [--reorder {auto|none|degree|hub|bfs}] [--serial-io]\n"
     "                 INPUT COMMAND [ARGS]\n"
     "commands:\n"
@@ -55,19 +55,12 @@ vertex_id parse_vertex(const std::string& s, size_t n) {
 int run(int argc, char** argv) {
   tools::arg_parser args(
       argc, argv,
-      {"format", "beta", "seed", "threads", "backend", "reorder"},
+      {"format", "beta", "seed", "threads", "reorder"},
       {"serial-io"});
   if (args.positionals().size() < 2) tools::usage_and_exit(kUsage);
   const std::string input = args.positionals()[0];
   const std::string command = args.positionals()[1];
 
-  const std::string backend = args.get("backend", "openmp");
-  if (backend == "pool") {
-    parallel::set_backend(parallel::backend::kThreadPool);
-  } else if (backend != "openmp") {
-    throw tools::arg_error("unknown --backend " + backend +
-                           " (expected openmp or pool)");
-  }
   const int threads = static_cast<int>(args.get_int("threads", 0));
   if (threads > 0) parallel::set_num_workers(threads);
 
