@@ -286,17 +286,17 @@ void BM_SpanningForest(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanningForest)->Arg(1 << 14)->Arg(1 << 17);
 
-// Labels + forest through a warm sf_engine, on the SAME graph as
+// Labels + forest through a warm engine's run_forest, on the SAME graph as
 // BM_CcEngineWarmRun: the pair is the cost of carrying witnesses through
 // the pipeline (acceptance target: within 1.2x of labels-only).
 void BM_SfEngineWarmRun(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const graph::graph g = graph::random_graph(n, 5, 5);
-  cc::sf_engine engine;
-  engine.run(g);
-  engine.run(g);  // second run consolidates the arenas
+  cc::cc_engine engine;
+  engine.run_forest(g);
+  engine.run_forest(g);  // second run consolidates the arenas
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(g).labels.data());
+    benchmark::DoNotOptimize(engine.run_forest(g).labels.data());
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * g.num_edges()));

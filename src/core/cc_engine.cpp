@@ -1,12 +1,17 @@
 // Iterative engine for Algorithm 1: DECOMP + CONTRACT per level going up,
 // RELABELUP back down the recorded level stack. Semantically identical to
 // the old allocate-per-level recursion (same per-level seeds, same
-// operation order), but every array is carved from reusable arenas.
+// operation order), but every array is carved from reusable arenas. A
+// forest run threads the witness arrays alongside every level graph and
+// lets the claim witnesses join the forest at every BFS round.
 
 #include "core/cc_engine.hpp"
 
+#include <cassert>
+
 #include "core/contract.hpp"
 #include "core/ldd.hpp"
+#include "parallel/atomics.hpp"
 #include "parallel/random.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/sequence.hpp"
@@ -18,14 +23,15 @@ namespace {
 
 using parallel::parallel_for;
 
-// Sequential union-find over a CSR given as spans — the safety net for the
+// Sequential union-find over a level graph — the safety net for the
 // (never-observed) case that the level loop fails to make progress within
-// opt.max_levels. `parent` is scratch of size n.
-void sequential_components_into(size_t n, std::span<const edge_id> offsets,
-                                std::span<const vertex_id> edges,
+// opt.max_levels. `parent` is scratch of size g.n. With a forest sink, the
+// witness of every uniting edge joins the forest.
+void sequential_components_into(const ldd::work_graph& g,
                                 std::span<vertex_id> labels,
-                                std::span<vertex_id> parent) {
-  for (size_t v = 0; v < n; ++v) parent[v] = static_cast<vertex_id>(v);
+                                std::span<vertex_id> parent,
+                                ldd::forest_sink* forest) {
+  for (size_t v = 0; v < g.n; ++v) parent[v] = static_cast<vertex_id>(v);
   const auto find = [&](vertex_id x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
@@ -33,14 +39,23 @@ void sequential_components_into(size_t n, std::span<const edge_id> offsets,
     }
     return x;
   };
-  for (size_t u = 0; u < n; ++u) {
-    for (edge_id e = offsets[u]; e < offsets[u + 1]; ++e) {
-      const vertex_id ru = find(static_cast<vertex_id>(u));
-      const vertex_id rw = find(edges[e]);
-      if (ru != rw) parent[ru < rw ? rw : ru] = ru < rw ? ru : rw;
+  for (size_t u = 0; u < g.n; ++u) {
+    const vertex_id uv = static_cast<vertex_id>(u);
+    const edge_id start = g.offsets[u];
+    for (vertex_id i = 0; i < g.degrees[u]; ++i) {
+      const vertex_id w = g.edges[start + i];
+      const vertex_id ru = find(uv);
+      const vertex_id rw = find(w);
+      if (ru != rw) {
+        parent[ru < rw ? rw : ru] = ru < rw ? ru : rw;
+        if (forest != nullptr) {
+          forest->forest[forest->count++] =
+              forest->witness_of(uv, start + i, w);
+        }
+      }
     }
   }
-  for (size_t v = 0; v < n; ++v) {
+  for (size_t v = 0; v < g.n; ++v) {
     labels[v] = find(static_cast<vertex_id>(v));
   }
 }
@@ -48,6 +63,7 @@ void sequential_components_into(size_t n, std::span<const edge_id> offsets,
 ldd::decomp_info run_decomposition(ldd::work_graph& wg, const cc_options& opt,
                                    uint64_t level,
                                    std::span<vertex_id> cluster,
+                                   ldd::forest_sink* forest,
                                    parallel::workspace& ws, cc_stats* stats) {
   ldd::options dopt;
   dopt.beta = opt.beta;
@@ -57,6 +73,9 @@ ldd::decomp_info run_decomposition(ldd::work_graph& wg, const cc_options& opt,
   dopt.dense_threshold = opt.dense_threshold;
   dopt.parallel_edge_threshold = opt.parallel_edge_threshold;
   parallel::phase_timer* pt = stats != nullptr ? &stats->phases : nullptr;
+  if (forest != nullptr) {
+    return ldd::decomp_arb_hybrid_into(wg, dopt, cluster, *forest, ws, pt);
+  }
   switch (opt.variant) {
     case decomp_variant::kMin:
       return ldd::decomp_min_into(wg, dopt, cluster, ws, pt);
@@ -98,6 +117,26 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
 std::span<const vertex_id> cc_engine::run(const graph::graph& g,
                                           const cc_options& opt,
                                           cc_stats* stats) {
+  return run_levels(g, opt, /*forest=*/false, stats);
+}
+
+cc_engine::forest_result cc_engine::run_forest(const graph::graph& g,
+                                               cc_stats* stats) {
+  return run_forest(g, opt_, stats);
+}
+
+cc_engine::forest_result cc_engine::run_forest(const graph::graph& g,
+                                               const cc_options& opt,
+                                               cc_stats* stats) {
+  const std::span<const vertex_id> labels =
+      run_levels(g, opt, /*forest=*/true, stats);
+  return {labels, last_forest()};
+}
+
+std::span<const vertex_id> cc_engine::run_levels(const graph::graph& g,
+                                                 const cc_options& opt,
+                                                 bool forest,
+                                                 cc_stats* stats) {
   const size_t n0 = g.num_vertices();
   const size_t m0 = g.num_edges();
 
@@ -108,7 +147,9 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
   // mark spread ~1.5% over repeated oversubscribed runs on the test
   // corpus); 1/8 headroom keeps the consolidated arena from chaining again
   // on the next run. Arenas that reserve() sized large enough never chain,
-  // so they get no headroom.
+  // so they get no headroom. A forest run's footprint is deterministic,
+  // but the same consolidation lets the labels runs that share the engine
+  // reuse its larger arenas.
   for (parallel::workspace* ws :
        {&persist_, &scratch_, &graph_[0], &graph_[1]}) {
     ws->reset(ws->high_water() / 8);
@@ -117,9 +158,15 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
   // No-op after the first run; see the note in reserve() on why frames_
   // is sized by the cap rather than by observed depth.
   frames_.reserve(opt.max_levels);
+  forest_storage_.clear();
 
   if (n0 == 0) return {};
   std::span<vertex_id> labels = persist_.take<vertex_id>(n0);
+  // The forest holds n0 - #components < n0 packed witnesses; claims append
+  // here round by round, the fallback appends serially.
+  ldd::forest_sink sink;
+  ldd::forest_sink* fs = forest ? &sink : nullptr;
+  if (forest) sink.forest = persist_.take<uint64_t>(n0);
   if (m0 == 0) {
     // Every vertex is its own component.
     parallel_for(0, n0,
@@ -129,8 +176,12 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
 
   // Level-0 working graph: offsets borrowed from g; the edge array is
   // copied into graph_[0] because the decomposition compacts it in place.
+  // The witness array is NOT pre-stamped: level 0 decomposes in
+  // identity-witness mode (the witness of slot (v, j) is the edge itself),
+  // which writes witnesses only into slots that survive compaction.
   std::span<vertex_id> edges0 = graph_[0].take<vertex_id>(m0);
   std::span<vertex_id> degrees0 = graph_[0].take<vertex_id>(n0);
+  if (forest) sink.witness = graph_[0].take<uint64_t>(m0);
   const std::vector<vertex_id>& ge = g.edges();
   parallel_for(0, m0, [&](size_t i) { edges0[i] = ge[i]; });
   parallel_for(0, n0, [&](size_t v) {
@@ -138,7 +189,6 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
   });
   ldd::work_graph cur = ldd::work_graph::over(
       n0, std::span<const edge_id>(g.offsets()), edges0, degrees0);
-  size_t cur_m = m0;
   int ping = 0;  // graph_ arena holding cur's storage
 
   // Go up: decompose and contract until the edges run out (or the safety
@@ -146,11 +196,12 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
   std::span<const vertex_id> base;  // labels of the topmost solved level
   size_t level = 0;
   while (true) {
+    sink.identity_witness = level == 0;
     if (level >= opt.max_levels) {
       if (stats != nullptr) stats->used_fallback = true;
       std::span<vertex_id> fb = scratch_.take<vertex_id>(cur.n);
       std::span<vertex_id> parent = scratch_.take<vertex_id>(cur.n);
-      sequential_components_into(cur.n, cur.offsets, cur.edges, fb, parent);
+      sequential_components_into(cur, fb, parent, fs);
       base = fb;
       break;
     }
@@ -160,24 +211,27 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
       graph_[1 - ping].reset();
     }
 
-    // L = DECOMP(G, beta)
+    // L = DECOMP(G, beta) — claim witnesses flow into the forest here.
     std::span<vertex_id> cluster = persist_.take<vertex_id>(cur.n);
     ldd::decomp_info dec;
     {
       parallel::workspace::scope s(scratch_);
-      dec = run_decomposition(cur, opt, level, cluster, scratch_, stats);
+      dec = run_decomposition(cur, opt, level, cluster, fs, scratch_, stats);
     }
 
-    // G' = CONTRACT(G, L)
+    // G' = CONTRACT(G, L), keeping one witness per surviving pair.
     parallel::timer contract_timer;
     const contraction_view cv =
-        contract_into(cur, cluster, opt.dedup, persist_, graph_[1 - ping],
-                      scratch_, opt.dedup_route);
+        forest ? contract_into(cur, std::span<const uint64_t>(sink.witness),
+                               cluster, opt.dedup, persist_, graph_[1 - ping],
+                               scratch_, opt.dedup_route)
+               : contract_into(cur, cluster, opt.dedup, persist_,
+                               graph_[1 - ping], scratch_, opt.dedup_route);
     if (stats != nullptr) {
       stats->phases.add("contractGraph", contract_timer.elapsed());
       level_stats ls;
       ls.n = cur.n;
-      ls.m = cur_m;
+      ls.m = cur.edges.size();
       ls.edges_kept = dec.edges_kept;
       ls.edges_after_dedup = cv.edges.size();
       ls.num_clusters = dec.num_clusters;
@@ -207,7 +261,7 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
     });
     cur = ldd::work_graph::over(cv.num_vertices, cv.offsets, cv.edges,
                                 degrees);
-    cur_m = cv.edges.size();
+    sink.witness = cv.edge_witness;
     ++level;
   }
 
@@ -238,6 +292,18 @@ std::span<const vertex_id> cc_engine::run(const graph::graph& g,
   }
   if (stats != nullptr) {
     stats->phases.add("contractGraph", relabel_timer.elapsed());
+  }
+
+  if (forest) {
+    // Publish the forest as unpacked (u, v) pairs. Determinism makes the
+    // count identical run to run, so after warm-up the resize stays within
+    // capacity and allocates nothing.
+    assert(sink.count < n0);
+    forest_storage_.resize(sink.count);
+    parallel_for(0, sink.count, [&](size_t i) {
+      forest_storage_[i] = {parallel::pair_first(sink.forest[i]),
+                            parallel::pair_second(sink.forest[i])};
+    });
   }
   return labels;
 }

@@ -84,16 +84,6 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
     // still-contended vertices are kept raw for phase 2. Edge-balanced and
     // non-emitting: each piece compacts its kept slots to the front of its
     // own [jlo, jhi) subrange.
-    const auto slide = [&](uint32_t fi, uint32_t dst, uint32_t src,
-                           uint32_t len) {
-      const edge_id start = V[frontier[fi]];
-      std::copy(E.begin() + start + src, E.begin() + start + src + len,
-                E.begin() + start + dst);
-    };
-    const auto publish = [&](uint32_t fi, uint32_t kept) {
-      // lint: private-write(one leader task per split vertex)
-      D[frontier[fi]] = kept;
-    };
     {
       parallel::workspace::scope phase_scope(ws);
       const parallel::frontier_result run = parallel::frontier_edge_for(
@@ -135,7 +125,8 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
             }
             return k - jlo;
           });
-      parallel::fix_split_pieces(run.partials, slide, publish);
+      internal::stitch_split_pieces(
+          run, wg, [&](uint32_t fi) { return frontier[fi]; }, {}, {});
     }
     if (pt != nullptr) pt->add("bfsPhase1", t.lap());
 
@@ -193,7 +184,8 @@ decomp_info decomp_min_into(work_graph& wg, const options& opt,
                 }
                 return k - jlo;
               });
-      parallel::fix_split_pieces(run.partials, slide, publish);
+      internal::stitch_split_pieces(
+          run, wg, [&](uint32_t fi) { return frontier[fi]; }, {}, {});
       next_size = run.emitted;
     }
     std::swap(frontier, next);

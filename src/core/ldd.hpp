@@ -10,6 +10,10 @@
 //   decomp_arb_hybrid — decomp_arb with direction-optimizing (read-based)
 //                       traversal on dense frontiers plus a post-pass
 //                       (filterEdges) that resolves edge statuses.
+// decomp_arb and decomp_arb_hybrid are one traversal
+// (decomp_arb_hybrid.cpp): decomp_arb is the hybrid with its dense rounds
+// off. A forest_sink overload of the hybrid also records a spanning forest
+// of each cluster (the engine's spanning-forest run).
 //
 // All variants run on a `work_graph`: a mutable copy of the edge array plus
 // per-vertex degrees, so intra-cluster edges can be deleted in place by
@@ -47,6 +51,7 @@ struct options {
   uint64_t seed = 42;
   // decomp_arb_hybrid switches to the read-based (dense) traversal when the
   // frontier holds more than this fraction of the vertices (paper: 20%).
+  // 1 or more turns dense rounds off: decomp_arb runs the hybrid that way.
   double dense_threshold = 0.2;
   // Historical (retained for API compatibility, now ignored): the
   // Section-4 per-hub edge-parallel path. Every round is now edge-balanced
@@ -133,6 +138,36 @@ decomp_info decomp_arb_into(work_graph& wg, const options& opt,
                             parallel::phase_timer* pt = nullptr);
 decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
                                    std::span<vertex_id> cluster,
+                                   parallel::workspace& ws,
+                                   parallel::phase_timer* pt = nullptr);
+
+// Forest output of the Arb traversal. Every edge slot of the work graph
+// carries a witness: the original-graph edge it stands for, packed
+// (u << 32) | v. With identity_witness (the engine's level 0) slot (v, j)
+// witnesses itself, so `witness` is only written — the slots that survive
+// compaction — never read. The traversal compacts `witness` alongside
+// wg.edges and appends the witness of every claim to forest[count, ...),
+// advancing count: a cluster of size s adds its s - 1 BFS tree edges.
+struct forest_sink {
+  std::span<uint64_t> witness;  // parallels wg.edges
+  bool identity_witness = false;
+  std::span<uint64_t> forest;
+  size_t count = 0;
+
+  // The witness of edge slot `slot` of vertex v, whose raw target is w.
+  uint64_t witness_of(vertex_id v, edge_id slot, vertex_id w) const {
+    return identity_witness ? (static_cast<uint64_t>(v) << 32) | w
+                            : witness[slot];
+  }
+};
+
+// decomp_arb_hybrid_into plus the forest. Write-based rounds resolve claims
+// with a deterministic two-phase rank protocol instead of the CAS, so the
+// clustering, the compacted work graph and the forest are a pure function
+// of (graph, options), identical across worker counts.
+decomp_info decomp_arb_hybrid_into(work_graph& wg, const options& opt,
+                                   std::span<vertex_id> cluster,
+                                   forest_sink& forest,
                                    parallel::workspace& ws,
                                    parallel::phase_timer* pt = nullptr);
 

@@ -1,5 +1,6 @@
-// Shared internals of the decomposition variants: the shift-value schedule
-// and the edge-marking helpers. Not part of the public API.
+// Shared internals of the decomposition variants: the shift-value schedule,
+// the edge-marking helpers and the split-piece stitch. Not part of the
+// public API.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 
 #include "core/ldd.hpp"
 #include "parallel/arena.hpp"
+#include "parallel/emit.hpp"
 #include "parallel/integer_sort.hpp"
 #include "parallel/random.hpp"
 #include "parallel/scheduler.hpp"
@@ -160,6 +162,43 @@ size_t add_new_centers(const shift_schedule& sched, size_t round,
     }
   });
   return added;
+}
+
+// Stitch the entries a compacting frontier_edge_for pass split across
+// chunks back together (parallel::fix_split_pieces): slide each one's kept
+// runs (and their witnesses, when `witness` is non-empty) down to its
+// adjacency prefix, publish its kept count in wg.degrees, and mark it
+// resolved when `resolved` is non-empty. vertex_of maps an entry index to
+// its vertex.
+template <typename VertexOf>
+void stitch_split_pieces(const parallel::frontier_result& run,
+                         work_graph& wg, VertexOf&& vertex_of,
+                         std::span<uint64_t> witness,
+                         std::span<uint8_t> resolved) {
+  std::span<vertex_id> E = wg.edges;
+  parallel::fix_split_pieces(
+      run.partials,
+      [&](uint32_t fi, uint32_t dst, uint32_t src, uint32_t len) {
+        const edge_id start = wg.offsets[vertex_of(fi)];
+        // Forward copy; dst <= src so overlapping ranges are safe.
+        // lint: private-write(leader task owns entry fi's CSR slice)
+        std::copy(E.begin() + start + src, E.begin() + start + src + len,
+                  E.begin() + start + dst);
+        if (!witness.empty()) {
+          // lint: private-write(same leader-owned slice, witness array)
+          std::copy(witness.begin() + start + src,
+                    witness.begin() + start + src + len,
+                    witness.begin() + start + dst);
+        }
+      },
+      [&](uint32_t fi, uint32_t kept) {
+        const vertex_id v = vertex_of(fi);
+        // lint: private-write(one leader task per split vertex)
+        wg.degrees[v] = kept;
+        if (!resolved.empty()) {
+          resolved[v] = 1;  // lint: private-write(same owner invariant)
+        }
+      });
 }
 
 // Assemble the vector-returning `result` the public wrappers expose from a

@@ -13,11 +13,12 @@
 // n - #components.
 //
 // This is the one-shot convenience wrapper; the workspace-backed engine
-// behind it is core/sf_engine.hpp (repeated queries, labels + forest in
-// one pass, registry integration). Options are plain cc_options, so
-// --beta/--seed/--shifts/--dedup-route mean the same thing they mean for
-// connectivity; opt.variant is ignored (the SF decomposition is always the
-// claim-based one).
+// behind it is cc_engine::run_forest in core/cc_engine.hpp (repeated
+// queries, labels + forest in one pass, registry integration). Options are
+// plain cc_options, so --beta/--seed/--shifts/--dedup-route (and
+// dense_threshold) mean the same thing they mean for connectivity;
+// opt.variant is ignored (the SF decomposition is always the hybrid Arb
+// traversal with deterministic claims).
 #pragma once
 
 #include <vector>

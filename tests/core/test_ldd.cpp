@@ -222,6 +222,16 @@ TEST(LddHybrid, DenseRoundsTriggerOnDenseGraph) {
   const auto dec = ldd::decomp_arb_hybrid(wg, opt, nullptr);
   EXPECT_GT(dec.num_dense_rounds, 0u);
   EXPECT_TRUE(check_decomposition(g, dec.cluster).well_formed);
+
+  // Decomp-Arb is the same traversal with its dense rounds off: at the
+  // same threshold it stays write-based, under the Figure 6 phase name.
+  work_graph wg_arb = work_graph::from(g);
+  parallel::phase_timer pt;
+  const auto arb = ldd::decomp_arb(wg_arb, opt, &pt);
+  EXPECT_EQ(arb.num_dense_rounds, 0u);
+  EXPECT_TRUE(pt.phases().contains("bfsMain"));
+  EXPECT_FALSE(pt.phases().contains("bfsDense"));
+  EXPECT_TRUE(check_decomposition(g, arb.cluster).well_formed);
 }
 
 TEST(LddHybrid, NeverDenseOnLine) {

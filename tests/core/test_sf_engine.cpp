@@ -1,15 +1,18 @@
-// sf_engine: the workspace-backed labels+forest executor behind
+// cc_engine::run_forest: the workspace-backed labels+forest run behind
 // spanning_forest.
 //
-//   (1) run() agrees with the one-shot API and with connectivity
+//   (1) run_forest() agrees with the one-shot API and with connectivity
 //       (forest valid, labels the same partition as the oracle);
 //   (2) the forest and the labels are bit-identical across worker counts
 //       (the two-phase claim protocol's whole point), and stable across
 //       repeated runs of a warm engine;
-//   (3) after warm-up, run() converges to zero heap allocation (global
-//       operator-new hook, same discipline as test_cc_engine.cpp);
-//   (4) through the registry, the reorder wrapper maps the forest back to
-//       original vertex ids for every policy on a skew-heavy corpus.
+//   (3) after warm-up, run_forest() converges to zero heap allocation
+//       (global operator-new hook, same discipline as test_cc_engine.cpp);
+//   (4) one engine serves labels-only and forest runs alike: alternating
+//       them stays allocation-free and reproduces fresh engines exactly;
+//   (5) through the registry, the reorder wrapper maps the forest back to
+//       original vertex ids for every policy on a skew-heavy corpus, and
+//       the caller's options reach the forest run.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cc_engine.hpp"
 #include "core/registry.hpp"
-#include "core/sf_engine.hpp"
 #include "core/spanning_forest.hpp"
 #include "test_helpers.hpp"
 
@@ -99,7 +102,7 @@ namespace {
 
 using baselines::union_find;
 using cc::cc_options;
-using cc::sf_engine;
+using cc::cc_engine;
 
 // Full validation of a claimed spanning forest of g (span flavour of the
 // helper in test_spanning_forest.cpp).
@@ -153,9 +156,9 @@ TEST(SfEngine, MatchesOneShotExactly) {
   cc_options opt;
   opt.seed = 99;
   const std::vector<graph::edge> oneshot = cc::spanning_forest(g, opt);
-  sf_engine engine(opt);
+  cc_engine engine(opt);
   for (int rep = 0; rep < 3; ++rep) {
-    const sf_engine::result r = engine.run(g);
+    const cc_engine::forest_result r = engine.run_forest(g);
     ASSERT_EQ(r.forest.size(), oneshot.size()) << "rep " << rep;
     for (size_t i = 0; i < oneshot.size(); ++i) {
       ASSERT_EQ(r.forest[i], oneshot[i]) << "rep " << rep << " edge " << i;
@@ -164,10 +167,10 @@ TEST(SfEngine, MatchesOneShotExactly) {
 }
 
 TEST(SfEngine, ValidOnCorpus) {
-  sf_engine engine;
+  cc_engine engine;
   for (const auto& gc : pcc::testing::correctness_corpus()) {
     const graph::graph g = gc.make();
-    const sf_engine::result r = engine.run(g);
+    const cc_engine::forest_result r = engine.run_forest(g);
     ASSERT_EQ(r.labels.size(), g.num_vertices()) << gc.name;
     expect_valid_forest(g, r.forest);
     if (g.num_vertices() == 0) continue;
@@ -201,15 +204,15 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkers) {
     std::vector<vertex_id> base_labels;
     {
       parallel::scoped_workers one(1);
-      sf_engine engine(opt);
-      const sf_engine::result r = engine.run(c.g);
+      cc_engine engine(opt);
+      const cc_engine::forest_result r = engine.run_forest(c.g);
       base_forest.assign(r.forest.begin(), r.forest.end());
       base_labels.assign(r.labels.begin(), r.labels.end());
     }
     for (int workers : {1, 2, 3, 4, 8}) {
       parallel::scoped_workers w(workers);
-      sf_engine engine(opt);
-      const sf_engine::result r = engine.run(c.g);
+      cc_engine engine(opt);
+      const cc_engine::forest_result r = engine.run_forest(c.g);
       const std::string what =
           std::string(c.name) + " workers=" + std::to_string(workers);
       ASSERT_EQ(r.forest.size(), base_forest.size()) << what;
@@ -226,13 +229,13 @@ TEST(SfEngine, ForestAndLabelsIdenticalAcrossWorkers) {
 
 TEST(SfEngine, PerRunOptionsOverrideConstructorOptions) {
   const graph::graph g = graph::random_graph(5000, 4, 3);
-  sf_engine engine;  // defaults
+  cc_engine engine;  // defaults
   for (double beta : {0.05, 0.5}) {
     for (uint64_t seed : {7u, 8u}) {
       cc_options opt;
       opt.beta = beta;
       opt.seed = seed;
-      const sf_engine::result r = engine.run(g, opt);
+      const cc_engine::forest_result r = engine.run_forest(g, opt);
       expect_valid_forest(g, r.forest);
       // Must match a one-shot with the same knobs.
       const auto oneshot = cc::spanning_forest(g, opt);
@@ -246,7 +249,7 @@ TEST(SfEngine, PerRunOptionsOverrideConstructorOptions) {
 }
 
 TEST(SfEngine, ReusableAcrossDifferentGraphs) {
-  sf_engine engine;
+  cc_engine engine;
   std::vector<pcc::testing::graph_case> probes = {
       {"cycle", [] { return graph::cycle_graph(1000); }},
       {"mixture",
@@ -263,7 +266,7 @@ TEST(SfEngine, ReusableAcrossDifferentGraphs) {
   };
   for (const auto& p : probes) {
     const graph::graph g = p.make();
-    const sf_engine::result r = engine.run(g);
+    const cc_engine::forest_result r = engine.run_forest(g);
     expect_valid_forest(g, r.forest);
     // last_forest() mirrors the span the result carries.
     ASSERT_EQ(engine.last_forest().size(), r.forest.size()) << p.name;
@@ -271,14 +274,14 @@ TEST(SfEngine, ReusableAcrossDifferentGraphs) {
 }
 
 TEST(SfEngine, EmptyAndTrivialInputs) {
-  sf_engine engine;
-  EXPECT_TRUE(engine.run(graph::empty_graph(0)).forest.empty());
-  EXPECT_TRUE(engine.run(graph::empty_graph(0)).labels.empty());
-  const auto one = engine.run(graph::empty_graph(1));
+  cc_engine engine;
+  EXPECT_TRUE(engine.run_forest(graph::empty_graph(0)).forest.empty());
+  EXPECT_TRUE(engine.run_forest(graph::empty_graph(0)).labels.empty());
+  const auto one = engine.run_forest(graph::empty_graph(1));
   EXPECT_TRUE(one.forest.empty());
   ASSERT_EQ(one.labels.size(), 1u);
   EXPECT_EQ(one.labels[0], 0u);
-  const auto iso = engine.run(graph::empty_graph(64));
+  const auto iso = engine.run_forest(graph::empty_graph(64));
   EXPECT_TRUE(iso.forest.empty());
   for (size_t v = 0; v < 64; ++v) EXPECT_EQ(iso.labels[v], v);
 }
@@ -291,16 +294,16 @@ TEST(SfEngine, HotPathRunIsAllocationFree) {
   // already clean — the retry loop only absorbs runtime-side lazies like
   // OpenMP team bootstrap).
   const graph::graph g = graph::random_graph(20000, 5, 7);
-  sf_engine engine;
-  engine.run(g);  // warm-up: arenas chain chunks as needed
-  engine.run(g);  // warm-up: reset() consolidates to high-water mark
+  cc_engine engine;
+  engine.run_forest(g);  // warm-up: arenas chain chunks as needed
+  engine.run_forest(g);  // warm-up: reset() consolidates to high-water mark
 
   bool saw_clean_run = false;
-  sf_engine::result r;
+  cc_engine::forest_result r;
   for (int attempt = 0; attempt < 10 && !saw_clean_run; ++attempt) {
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
-    r = engine.run(g);
+    r = engine.run_forest(g);
     g_count_allocs.store(false, std::memory_order_relaxed);
     saw_clean_run = g_alloc_count.load(std::memory_order_relaxed) == 0;
   }
@@ -312,16 +315,113 @@ TEST(SfEngine, HotPathRunIsAllocationFree) {
 
 TEST(SfEngine, ReserveFrontLoadsAllocation) {
   const graph::graph g = graph::rmat_graph(8192, 40000, 11);
-  sf_engine engine;
+  cc_engine engine;
   engine.reserve(g.num_vertices(), g.num_edges());
-  engine.run(g);
-  engine.run(g);
+  engine.run_forest(g);
+  engine.run_forest(g);
 
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
-  engine.run(g);
+  engine.run_forest(g);
   g_count_allocs.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+}
+
+TEST(SfEngine, FallbackRecordsUnitingWitnesses) {
+  // Past opt.max_levels the sequential union-find finishes the job; in a
+  // forest run it adds the witness of every uniting edge — the raw edge at
+  // level 0 (cap 0), a contracted edge's stored witness above it (cap 1).
+  const graph::graph g = graph::rmat_graph(4096, 16000, 19);
+  for (size_t cap : {size_t{0}, size_t{1}}) {
+    cc_options opt;
+    opt.max_levels = cap;
+    cc_engine engine(opt);
+    const std::string what = "max_levels=" + std::to_string(cap);
+    cc::cc_stats forest_stats;
+    const cc_engine::forest_result r = engine.run_forest(g, &forest_stats);
+    EXPECT_TRUE(forest_stats.used_fallback) << what;
+    expect_valid_forest(g, r.forest);
+    const std::vector<vertex_id> forest_labels(r.labels.begin(),
+                                               r.labels.end());
+    EXPECT_TRUE(baselines::is_valid_components_labeling(g, forest_labels))
+        << what;
+
+    cc::cc_stats stats;
+    const std::span<const vertex_id> l = engine.run(g, &stats);
+    const std::vector<vertex_id> labels(l.begin(), l.end());
+    EXPECT_TRUE(baselines::is_valid_components_labeling(g, labels)) << what;
+    if (cap == 0) {
+      EXPECT_TRUE(stats.used_fallback) << what;
+    }
+  }
+}
+
+TEST(SfEngine, SharedWithLabelsRuns) {
+  // One engine serves both outputs (algo_workspace holds just one). After
+  // a warm-up of each kind, alternating run / run_forest / run must stay
+  // allocation-free, the forest must match a fresh engine's bit for bit,
+  // and at one worker — where the labels-only decomposition is
+  // deterministic too — so must the labels.
+  const graph::graph g = graph::rmat_graph(8192, 40000, 23);
+  cc_options opt;
+  opt.seed = 4242;
+  const auto count_allocs = [](auto&& body) {
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    body();
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    return g_alloc_count.load(std::memory_order_relaxed);
+  };
+  for (int workers : {1, 4}) {
+    parallel::scoped_workers w(workers);
+    const std::string what = "workers=" + std::to_string(workers);
+    std::vector<vertex_id> fresh_labels;
+    {
+      cc_engine fresh(opt);
+      const std::span<const vertex_id> l = fresh.run(g);
+      fresh_labels.assign(l.begin(), l.end());
+    }
+    std::vector<graph::edge> fresh_forest;
+    std::vector<vertex_id> fresh_forest_labels;
+    {
+      cc_engine fresh(opt);
+      const cc_engine::forest_result r = fresh.run_forest(g);
+      fresh_forest.assign(r.forest.begin(), r.forest.end());
+      fresh_forest_labels.assign(r.labels.begin(), r.labels.end());
+    }
+
+    cc_engine engine(opt);
+    engine.run(g);  // warm-up: grow, then consolidate, for each kind
+    engine.run_forest(g);
+    engine.run(g);
+    engine.run_forest(g);
+
+    std::span<const vertex_id> before;
+    cc_engine::forest_result mid;
+    std::span<const vertex_id> after;
+    EXPECT_EQ(count_allocs([&] { before = engine.run(g); }), 0u) << what;
+    const std::vector<vertex_id> before_copy(before.begin(), before.end());
+    EXPECT_EQ(count_allocs([&] { mid = engine.run_forest(g); }), 0u) << what;
+    ASSERT_EQ(mid.forest.size(), fresh_forest.size()) << what;
+    for (size_t i = 0; i < fresh_forest.size(); ++i) {
+      ASSERT_EQ(mid.forest[i], fresh_forest[i]) << what << " edge " << i;
+    }
+    ASSERT_EQ(mid.labels.size(), fresh_forest_labels.size()) << what;
+    for (size_t v = 0; v < fresh_forest_labels.size(); ++v) {
+      ASSERT_EQ(mid.labels[v], fresh_forest_labels[v]) << what << " v " << v;
+    }
+    EXPECT_EQ(count_allocs([&] { after = engine.run(g); }), 0u) << what;
+    EXPECT_TRUE(engine.last_forest().empty()) << what;
+
+    for (const std::vector<vertex_id>& labels :
+         {before_copy, std::vector<vertex_id>(after.begin(), after.end())}) {
+      if (workers == 1) {
+        ASSERT_EQ(labels, fresh_labels) << what;
+      } else {
+        expect_same_partition(labels, fresh_labels, what);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +505,24 @@ TEST(SfRegistry, NonForestAlgorithmsClearLastForest) {
   EXPECT_FALSE(plain->produces_forest);
   cc::run_algorithm(*plain, g, {}, ws, labels);
   EXPECT_TRUE(ws.last_forest.empty());
+}
+
+TEST(SfRegistry, OptionsReachTheForestRun) {
+  // run_algorithm must hand the caller's dense_threshold to the forest run:
+  // at 0 every round of a connected grid is dense.
+  const graph::graph g = graph::grid3d_graph(4096, true, 5);
+  const cc::algorithm* sf = cc::find_algorithm("spanning-forest");
+  ASSERT_NE(sf, nullptr);
+  cc::algo_workspace ws;
+  std::vector<vertex_id> labels(g.num_vertices());
+  cc_options opt;
+  opt.dense_threshold = 0.0;
+  cc::cc_stats stats;
+  cc::run_algorithm(*sf, g, opt, ws, labels, &stats);
+  ASSERT_FALSE(stats.levels.empty());
+  EXPECT_GT(stats.levels[0].bfs_rounds, 0u);
+  EXPECT_EQ(stats.levels[0].dense_rounds, stats.levels[0].bfs_rounds);
+  expect_valid_forest(g, ws.last_forest);
 }
 
 }  // namespace

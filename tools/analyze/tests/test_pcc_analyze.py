@@ -74,8 +74,9 @@ class SharedWriteTests(unittest.TestCase):
 
 
 class WitnessSpanTests(unittest.TestCase):
-    """Witness-span discipline (src/core/sf_engine.cpp): a forest edge's
-    identity depends on WHICH claim wins, so witness stores must be
+    """Witness-span discipline (the forest output of
+    src/core/decomp_arb_hybrid.cpp): a forest edge's identity depends on
+    WHICH claim wins, so witness stores must be
     owner-indexed, atomic (the two-phase claim's write_min), or carry a
     validated private-write invariant. The fixtures mirror the pipeline's
     real store shapes."""
