@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -138,6 +139,23 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+// The kernel's transparent-huge-page mode (the bracketed word of
+// /sys/kernel/mm/transparent_hugepage/enabled: "always", "madvise" or
+// "never"), or "unknown" where that file cannot be read. The workspace
+// arenas ask for huge pages, so rows from boxes with different modes are
+// not comparable.
+inline std::string thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  if (!std::getline(in, line)) return "unknown";
+  const size_t open = line.find('[');
+  const size_t close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) {
+    return "unknown";
+  }
+  return line.substr(open + 1, close - open - 1);
+}
+
 inline void write_bench_json(const std::string& default_path,
                              const std::string& bench_name,
                              const std::vector<bench_record>& records) {
@@ -172,6 +190,7 @@ inline void write_bench_json(const std::string& default_path,
                json_escape(PCC_BENCH_COMPILER).c_str());
   std::fprintf(f, "  \"cxx_flags\": \"%s\",\n",
                json_escape(PCC_BENCH_CXX_FLAGS).c_str());
+  std::fprintf(f, "  \"thp\": \"%s\",\n", json_escape(thp_mode()).c_str());
   std::fprintf(f, "  \"scale\": %.6g,\n  \"entries\": [\n", scale_factor());
   for (size_t i = 0; i < records.size(); ++i) {
     const bench_record& r = records[i];

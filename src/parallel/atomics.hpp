@@ -44,9 +44,19 @@ inline void atomic_store(T* loc, T value) {
 // racing writer stores the same value (e.g. contract()'s has_edge marks).
 // Semantically equivalent to a plain store, but tells the compiler and the
 // thread sanitizer that the race is by design.
+//
+// write_once never stores a value the location already holds: it loads
+// first and stores only on a difference. When many workers mark the same
+// few flags (contraction's has_edge at a level with a handful of clusters),
+// an unconditional store makes every worker take the line exclusive and it
+// ping-pongs between cores; the load keeps it shared. Skipping an equal
+// store is one of the interleavings the same-value contract already allows.
 template <typename T>
 inline void write_once(T* loc, T value) {
-  std::atomic_ref<T>(*loc).store(value, std::memory_order_relaxed);
+  std::atomic_ref<T> ref(*loc);
+  if (ref.load(std::memory_order_relaxed) != value) {
+    ref.store(value, std::memory_order_relaxed);
+  }
 }
 
 template <typename T>

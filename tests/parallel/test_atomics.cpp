@@ -1,7 +1,9 @@
-// CAS / writeMin / writeMax / fetch_add semantics, sequential and under
-// real contention.
+// CAS / writeMin / writeMax / fetch_add / write_once semantics, sequential
+// and under real contention.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <vector>
 
@@ -92,6 +94,37 @@ TEST(Cas, ConcurrentClaimGrantsExactlyOneWinner) {
   }, 16);
   EXPECT_EQ(wins, kSlots);
   for (uint32_t s : slots) EXPECT_NE(s, ~0u);
+}
+
+TEST(WriteOnce, SkipsTheStoreWhenTheValueIsAlreadyThere) {
+  // A flag byte that already holds 1 sits on a read-only page: any store
+  // to it faults, so this passes only if write_once of the held value
+  // leaves the location alone.
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  void* mem = ::mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  auto* flag = static_cast<uint8_t*>(mem);
+  *flag = 1;
+  ASSERT_EQ(::mprotect(mem, page, PROT_READ), 0);
+  write_once(flag, uint8_t{1});
+  EXPECT_EQ(read_once(flag), 1u);
+
+  // A different value on a writable page is stored.
+  ASSERT_EQ(::mprotect(mem, page, PROT_READ | PROT_WRITE), 0);
+  write_once(flag, uint8_t{2});
+  EXPECT_EQ(read_once(flag), 2u);
+  ASSERT_EQ(::munmap(mem, page), 0);
+}
+
+TEST(WriteOnce, ConcurrentSameValueMarksLandOnEveryFlag) {
+  // The contraction prelude's pattern: many writers mark a few flags.
+  constexpr size_t kFlags = 5;
+  std::vector<uint8_t> flags(kFlags, 0);
+  parallel_for(0, 100000, [&](size_t i) {
+    write_once(&flags[i % kFlags], uint8_t{1});
+  }, 64);
+  for (uint8_t f : flags) EXPECT_EQ(f, 1u);
 }
 
 TEST(PackedPair, RoundTripAndOrdering) {
