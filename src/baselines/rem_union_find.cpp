@@ -31,7 +31,7 @@ bool rem_view::unite(vertex_id u, vertex_id v) {
   }
 }
 
-void rem_view::flatten_into(std::span<vertex_id> labels) const {
+void rem_view::flatten_into(std::span<vertex_id> labels) {
   parallel::parallel_for(0, parent_.size(), [&](size_t v) {
     vertex_id x = static_cast<vertex_id>(v);
     while (true) {
@@ -39,7 +39,8 @@ void rem_view::flatten_into(std::span<vertex_id> labels) const {
       if (p == x) break;
       x = p;
     }
-    // Atomic store because labels may alias the parent array (see header).
+    // Atomic stores: other walkers read parent_, and labels may alias it.
+    parallel::atomic_store(&parent_[v], x);
     parallel::atomic_store(&labels[v], x);
   });
 }

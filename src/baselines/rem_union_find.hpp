@@ -8,11 +8,10 @@
 // parallel_sf_rem_components (baselines.hpp) is the connectivity entry
 // point built on the parallel one.
 //
-// The parallel flavour is split into a non-owning `rem_view` over caller
-// memory (so the registry can run it out of a workspace arena with zero
-// allocations) and the original owning `parallel_rem_union_find` class,
-// now a thin wrapper. Locks are plain bytes driven by cas/read_once —
-// std::atomic_flag cannot live in an arena (not trivially copyable).
+// The parallel flavour is a non-owning `rem_view` over caller memory (so
+// the registry can run it out of a workspace arena with zero allocations).
+// Locks are plain bytes driven by cas/read_once — std::atomic_flag cannot
+// live in an arena (not trivially copyable).
 //
 // Reference: Patwary, Blair, Manne, "Experiments on union-find algorithms
 // for the disjoint-set data structure" (SEA'10); Rem's algorithm is
@@ -92,10 +91,12 @@ class rem_view {
   bool unite(vertex_id u, vertex_id v);
 
   // Publish every set's root into labels[v] (call after all unions have
-  // completed). `labels` MAY alias the parent span: the writes are full
-  // path compression, and a concurrent walker that reads a freshly
-  // written root simply finishes one step later.
-  void flatten_into(std::span<vertex_id> labels) const;
+  // completed). The roots are written back into the parent array too —
+  // full path compression, so walks over one long chain stop after a step
+  // instead of each re-walking it — which lets `labels` be the parent span
+  // itself. A concurrent walker that reads a freshly written root simply
+  // finishes one step later.
+  void flatten_into(std::span<vertex_id> labels);
 
   size_t size() const { return parent_.size(); }
 
@@ -115,29 +116,6 @@ class rem_view {
 
   std::span<vertex_id> parent_;
   std::span<uint8_t> locks_;
-};
-
-// Owning wrapper kept for API compatibility with pre-registry callers.
-class parallel_rem_union_find {
- public:
-  explicit parallel_rem_union_find(size_t n)
-      : parent_(n), locks_(n), view_(parent_, locks_) {
-    view_.init();
-  }
-
-  bool unite(vertex_id u, vertex_id v) { return view_.unite(u, v); }
-
-  // Publish every vertex's root (call after all unions have completed).
-  std::vector<vertex_id> flatten() {
-    std::vector<vertex_id> labels(parent_.size());
-    view_.flatten_into(labels);
-    return labels;
-  }
-
- private:
-  std::vector<vertex_id> parent_;
-  std::vector<uint8_t> locks_;
-  rem_view view_;
 };
 
 }  // namespace pcc::baselines

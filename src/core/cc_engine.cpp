@@ -224,9 +224,9 @@ std::span<const vertex_id> cc_engine::run_levels(const graph::graph& g,
     const contraction_view cv =
         forest ? contract_into(cur, std::span<const uint64_t>(sink.witness),
                                cluster, opt.dedup, persist_, graph_[1 - ping],
-                               scratch_, opt.dedup_route)
+                               scratch_)
                : contract_into(cur, cluster, opt.dedup, persist_,
-                               graph_[1 - ping], scratch_, opt.dedup_route);
+                               graph_[1 - ping], scratch_);
     if (stats != nullptr) {
       stats->phases.add("contractGraph", contract_timer.elapsed());
       level_stats ls;

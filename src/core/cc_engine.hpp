@@ -84,7 +84,7 @@ class cc_engine {
 
   // Labels plus a spanning forest. The decomposition is always the hybrid
   // Arb one with deterministic claims — opt.variant does not apply here;
-  // beta, shifts, seed, dense_threshold, dedup and dedup_route do.
+  // beta, shifts, seed, dense_threshold and dedup do.
   forest_result run_forest(const graph::graph& g, cc_stats* stats = nullptr);
   forest_result run_forest(const graph::graph& g, const cc_options& opt,
                            cc_stats* stats = nullptr);

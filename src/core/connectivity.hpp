@@ -55,12 +55,8 @@ struct cc_options {
   ldd::shift_mode shifts = ldd::shift_mode::kPermutationChunks;
   // Remove duplicate inter-cluster edges when contracting (paper default;
   // correctness holds either way).
+  // The route (hash or sort) is picked per level by choose_dedup_route.
   bool dedup = true;
-  // Duplicate-removal route when dedup is on: kAuto picks per level via
-  // choose_dedup_route from that level's measured edge/vertex counts;
-  // kHash / kSort pin one route. Pure performance knob — the contracted
-  // CSR is byte-identical either way.
-  dedup_strategy dedup_route = dedup_strategy::kAuto;
   // Locality relabeling applied around the selected algorithm.
   reorder_policy reorder = reorder_policy::kAuto;
   uint64_t seed = 42;

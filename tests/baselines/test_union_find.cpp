@@ -130,13 +130,27 @@ TEST(RemUnionFind, MatchesClassicUnionFindOnRandomOps) {
   }
 }
 
+// A rem_view over parent/lock/label storage the test owns.
+struct rem_storage {
+  explicit rem_storage(size_t n)
+      : parent(n), locks(n), labels(n), view(parent, locks) {
+    view.init();
+  }
+  std::vector<vertex_id> parent;
+  std::vector<uint8_t> locks;
+  std::vector<vertex_id> labels;
+  rem_view view;
+};
+
 TEST(ParallelRemUnionFind, ConcurrentRingMergesToOneSet) {
   const size_t n = 80000;
-  parallel_rem_union_find uf(n);
+  rem_storage s(n);
+  rem_view& uf = s.view;
   parallel::parallel_for(0, n, [&](size_t i) {
     uf.unite(static_cast<vertex_id>(i), static_cast<vertex_id>((i + 1) % n));
   }, 64);
-  const auto labels = uf.flatten();
+  uf.flatten_into(s.labels);
+  const auto& labels = s.labels;
   for (size_t v = 0; v < n; ++v) ASSERT_EQ(labels[v], labels[0]);
 }
 
@@ -148,18 +162,35 @@ TEST(ParallelRemUnionFind, ConcurrentMatchesSequentialPartition) {
     ops[i] = {static_cast<vertex_id>(gen.bounded(2 * i, n)),
               static_cast<vertex_id>(gen.bounded(2 * i + 1, n))};
   }
-  parallel_rem_union_find par(n);
+  rem_storage s(n);
+  rem_view& par = s.view;
   parallel::parallel_for(0, ops.size(), [&](size_t i) {
     par.unite(ops[i].first, ops[i].second);
   }, 16);
   union_find seq(n);
   for (auto [a, b] : ops) seq.unite(a, b);
-  const auto labels = par.flatten();
+  par.flatten_into(s.labels);
+  const auto& labels = s.labels;
   for (size_t i = 0; i < ops.size(); i += 7) {
     for (size_t j = i + 1; j < ops.size(); j += 1993) {
       ASSERT_EQ(labels[ops[i].first] == labels[ops[j].first],
                 seq.find(ops[i].first) == seq.find(ops[j].first));
     }
+  }
+}
+
+// afforest snapshots its representatives into a separate array between
+// phases. That snapshot must also compress the parent array: otherwise the
+// chains concurrent links leave on a path stay, and every vertex re-walks
+// its whole chain (quadratic work on a line).
+TEST(ParallelRemUnionFind, FlattenIntoSeparateLabelsCompressesParents) {
+  const size_t n = 1 << 16;
+  rem_storage s(n);
+  for (size_t v = 1; v < n; ++v) s.parent[v] = static_cast<vertex_id>(v - 1);
+  s.view.flatten_into(s.labels);
+  for (size_t v = 0; v < n; ++v) {
+    ASSERT_EQ(s.labels[v], 0u) << v;
+    ASSERT_EQ(s.parent[v], 0u) << v;
   }
 }
 

@@ -15,12 +15,12 @@ catalog):
                             (a workspace is not thread-safe).
   hygiene                   std::function, allocation, rand/time, and
                             iteration-order-dependent hash traversal inside
-                            parallel bodies and registry run_* impls.
+                            parallel bodies and registry run_* impls; plus
+                            mutable `static` locals inside parallel bodies.
 
 Plus the annotation audit: `// lint: private-write(<invariant>)` must carry
 non-empty text and anchor a store expression; `// analyze: suppress(check:
-reason)` (and the legacy `// lint: allow(rule: reason)`) must carry a
-reason and actually suppress something.
+reason)` must carry a reason and actually suppress something.
 """
 
 from __future__ import annotations
@@ -121,23 +121,16 @@ CHECK_NAMES = [
     "std-function-in-parallel",
     "alloc-in-parallel",
     "rand-time-in-parallel",
+    "static-in-parallel",
     "hash-iteration-order",
     "orphaned-annotation",
     "empty-annotation",
     "unused-suppression",
 ]
 
-# Legacy parallel_lint rule names accepted in `lint: allow(...)` markers.
-LEGACY_RULE_MAP = {
-    "raw-captured-write": "shared-write",
-    "shared-cursor-emission": "shared-cursor-emission",
-    "std-function-in-parallel": "std-function-in-parallel",
-    "rand-in-parallel": "rand-time-in-parallel",
-}
-
 MARKER_PRIVATE = re.compile(r"lint:\s*private-write\s*\(([^)]*)\)")
 MARKER_SUPPRESS = re.compile(
-    r"(?:analyze:\s*suppress|lint:\s*allow)\s*\(\s*([a-z-]+)\s*:?([^)]*)\)")
+    r"analyze:\s*suppress\s*\(\s*([a-z-]+)\s*:?([^)]*)\)")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +196,9 @@ def build_file_context(lf: LexedFile) -> FileContext:
             ctx.private_write[c.line] = Annotation(
                 c.line, m.group(1).strip(), "private-write")
         for m in MARKER_SUPPRESS.finditer(c.text):
-            check = m.group(1).strip()
-            check = LEGACY_RULE_MAP.get(check, check)
             ctx.suppress.setdefault(c.line, []).append(Annotation(
-                c.line, m.group(2).strip(" :"), "suppress", check))
+                c.line, m.group(2).strip(" :"), "suppress",
+                m.group(1).strip()))
     for s in cppast.find_stores(lf.nodes, skip_lambda_bodies=False):
         ctx.all_store_lines.add(s.line)
     # Known-writer calls and atomic-helper calls also anchor annotations
@@ -644,12 +636,19 @@ class Analyzer:
             for fn in ctx.functions:
                 self.fn_index.setdefault(fn.name, []).append(fn)
         self._callee_cache: dict[int, dict[str, list]] = {}
+        # a nested region's body is also part of its enclosing region's
+        # body; report each (site, check) once
+        self._reported: set[tuple[str, int, int, str]] = set()
 
     # -- plumbing -----------------------------------------------------------
 
     def report(self, ctx: FileContext, line: int, col: int, check: str,
                message: str, fn: FunctionDef | None = None,
                region: Region | None = None) -> None:
+        key = (ctx.lf.path, line, col, check)
+        if key in self._reported:
+            return
+        self._reported.add(key)
         f = Finding(ctx.lf.path, line, col, check, message,
                     fn.qualname if fn else "",
                     region.call_line if region else 0)
@@ -1154,7 +1153,7 @@ class Analyzer:
         where = f"a {region.kind} body" if region else \
             f"registry hot path `{fn.qualname}`"
 
-        # token-level: std::function, raw new
+        # token-level: std::function, raw new, static locals
         toks = list(iter_tokens(body))
         for k, t in enumerate(toks):
             if t.kind != "id":
@@ -1174,6 +1173,17 @@ class Analyzer:
                         f"operator new inside {where}: parallel bodies "
                         "must draw scratch from the caller's workspace "
                         "arena, not the system allocator", fn, region)
+            elif t.text == "static" and region is not None:
+                near = {toks[j].text for j in (k - 1, k + 1)
+                        if 0 <= j < len(toks)}
+                if not near & {"constexpr", "thread_local"}:
+                    self.report(
+                        ctx, t.line, t.col, "static-in-parallel",
+                        f"static local inside {where}: mutable static "
+                        "state is shared by every worker and magic-static "
+                        "initialization serializes them; use static "
+                        "constexpr, thread_local, or hoist it out", fn,
+                        region)
 
         # call-level
         for call in cppast.find_calls(body):

@@ -1,6 +1,5 @@
 // Negative fixtures for the annotation audit: an anchored annotation with
-// real invariant text, a suppression that suppresses a real finding (both
-// the new spelling and the legacy lint: allow one).
+// real invariant text, and suppressions that suppress real findings.
 #include "prelude.hpp"
 
 void anchored(unsigned* D, const unsigned* start) {
@@ -17,9 +16,9 @@ void used_suppression(unsigned* D, const unsigned* x) {
   });
 }
 
-void used_legacy_suppression(unsigned* D, const unsigned* x) {
+void used_second_suppression(unsigned* D, const unsigned* x) {
   parallel_for(0, 64, [&](unsigned long i) {
-    // lint: allow(raw-captured-write: idempotent flag set, benign race)
+    // analyze: suppress(shared-write: idempotent flag set, benign race)
     D[x[i]] = 1;
   });
 }

@@ -161,6 +161,14 @@ class HygieneTests(unittest.TestCase):
         self.assertIn("rand-time-in-parallel", got)
         self.assertIn("hash-iteration-order", got)
 
+    def test_static_local_in_parallel_body(self):
+        findings = active(analyze("bad_hygiene.cpp"))
+        statics = [f for f in findings if f.check == "static-in-parallel"]
+        self.assertEqual(len(statics), 1)
+        self.assertIn("static unsigned calls",
+                      line_text("bad_hygiene.cpp", statics[0].line))
+        self.assertEqual(statics[0].function, "mutable_static_local")
+
     def test_registry_run_impl_is_scanned(self):
         findings = active(analyze("bad_hygiene.cpp"))
         hashes = [f for f in findings if f.check == "hash-iteration-order"]
@@ -187,7 +195,6 @@ class AnnotationAuditTests(unittest.TestCase):
         self.assertEqual(active(findings), [],
                          msg="\n".join(f.message for f in findings))
         suppressed = [f for f in findings if f.suppressed]
-        # both the analyze: suppress and the legacy lint: allow spelling
         self.assertEqual([f.check for f in suppressed],
                          ["shared-write"] * 2)
         self.assertTrue(all(f.suppress_reason for f in suppressed))
